@@ -114,10 +114,6 @@ def cf_expand(value, max_terms: int = 64, precision: Optional[int] = None) -> Co
     return ContinuedFraction(quotients, exact=not truncated)
 
 
-def convergents(cf: ContinuedFraction):
-    return cf.convergents()
-
-
 # --- golden mean -----------------------------------------------------------
 
 GOLDEN_TERMS = 120  # q_120 = F_121 ~ 8.9e24, far past every desk-scale N

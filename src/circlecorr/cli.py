@@ -13,10 +13,8 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
-
 from . import cf as cfmod
-from .paircorr import f_stat, f_stat_profile
+from .paircorr import f_stat_profile
 from .sequences import (FixedBatch, RationalBatch, SequenceSpec, generate,
                         kronecker_orbit)
 from .threegap import gap_census, predict_gaps
@@ -71,8 +69,6 @@ def read_points_csv(stream, precision: int) -> FixedBatch:
         if not line or (i == 0 and line == "value"):
             continue
         values.append(parse_point(line, precision))
-    if precision == 64:
-        return FixedBatch(64, np.array(values, dtype=np.uint64))
     return FixedBatch(precision, values)
 
 
@@ -81,11 +77,8 @@ def read_points_binary(stream, precision: int) -> FixedBatch:
     width = precision // 8
     if len(data) % width:
         raise UsageError(f"binary point file length is not a multiple of {width}")
-    values = [int.from_bytes(data[i:i + width], "little")
-              for i in range(0, len(data), width)]
-    if precision == 64:
-        return FixedBatch(64, np.array(values, dtype=np.uint64))
-    return FixedBatch(precision, values)
+    return FixedBatch(precision, [int.from_bytes(data[i:i + width], "little")
+                                  for i in range(0, len(data), width)])
 
 
 def _batch_raw_precision(batch):
@@ -196,20 +189,15 @@ def cmd_fstat(args):
                 batch = read_points_binary(stream, args.precision)
             else:
                 batch = read_points_csv(stream, args.precision)
+        over = [n for n in n_list if n > len(batch)]
+        if over:
+            raise UsageError(f"file holds {len(batch)} points, N={over[0]} requested")
         label, params = "file", args.points
-        results = []
-        for n in n_list:
-            if n > len(batch):
-                raise UsageError(f"file holds {len(batch)} points, N={n} requested")
-            prefix = FixedBatch(batch.precision, batch.raw[:n])
-            for alpha in alphas:
-                for s in svals:
-                    results.append(f_stat(prefix, s, alpha, guard_ulps=args.guard_band))
     else:
         spec = _spec_from_args(args)
+        batch = generate(spec, n_list[-1])
         label, params = spec.kind, _spec_label(spec)
-        results = f_stat_profile(spec, n_list, alphas, svals,
-                                 guard_ulps=args.guard_band)
+    results = f_stat_profile(batch, n_list, alphas, svals, guard_ulps=args.guard_band)
     stream = _open_out(args)
     try:
         if args.format == "csv":

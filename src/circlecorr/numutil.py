@@ -49,10 +49,6 @@ class UnitPoint:
         raw = (frac.numerator * (1 << precision) * 2 + frac.denominator) // (2 * frac.denominator)
         return cls(raw, precision)
 
-    @classmethod
-    def from_float(cls, x, precision=DEFAULT_PRECISION):
-        return cls.from_fraction(Fraction(x), precision)
-
     def to_fraction(self):
         return Fraction(self.value, self.modulus)
 
@@ -68,11 +64,6 @@ class UnitPoint:
         if self.precision != other.precision:
             raise PrecisionMismatchError("cannot subtract points of different precision")
         return UnitPoint(self.value - other.value, self.precision)
-
-    def __mul__(self, n: int):
-        return UnitPoint(self.value * n, self.precision)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -109,17 +100,12 @@ class RationalPoint:
                              self.base, exponent)
 
 
-EXACT = "exact"
-WITHIN_1_ULP = "within-1-ulp"
-
-
 @dataclass(frozen=True)
 class CircleDistance:
     """A distance in [0, 1/2] on the fixed-point grid."""
 
     value: int
     precision: int = DEFAULT_PRECISION
-    exactness: str = EXACT
 
     def __post_init__(self):
         _check_precision(self.precision)

@@ -1,14 +1,13 @@
 """Close-pair counting under the circle norm and the F statistic.
 
 All counts are ordered-pair counts (l != m counted in both directions),
-exact integers.  The fast path sorts once and counts clockwise neighbors
-with a circular sweep; the naive path is a full distance matrix kept as
-an independent oracle.
+exact integers.  Every fast count goes through one window kernel over a
+batch's sorted raw values; the naive path is a full distance matrix kept
+as an independent oracle.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -16,34 +15,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numutil import Threshold, threshold_from
-from .sequences import FixedBatch, RationalBatch
+from .sequences import Batch, RationalBatch
 
 _U64 = np.uint64
 _FULL64 = 1 << 64
-
-
-def _raw_and_modulus(points):
-    """Normalize any batch form to (raw values, modulus)."""
-    if isinstance(points, FixedBatch):
-        return points.raw, 1 << points.precision
-    if isinstance(points, RationalBatch):
-        return points.numerators, points.denominator
-    raise TypeError(f"unsupported batch type {type(points).__name__}")
-
-
-def _as_u64_array(raw):
-    if isinstance(raw, np.ndarray):
-        return raw.astype(np.uint64, copy=False)
-    return np.array([int(v) for v in raw], dtype=np.uint64)
-
-
-def _numpy_capable(raw, modulus):
-    # moduli in (2^63, 2^64) would overflow the uint64 sweep arithmetic
-    if modulus != _FULL64 and modulus > (1 << 63):
-        return False
-    if isinstance(raw, np.ndarray):
-        return True
-    return all(0 <= int(v) < modulus for v in raw)
+_BLOCK = 1 << 14  # queries per window_counts step
 
 
 # --- naive oracle ----------------------------------------------------------
@@ -52,12 +28,12 @@ def _numpy_capable(raw, modulus):
 def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) -> int:
     """O(N^2) ordered count of pairs with circle distance <= threshold.
 
-    ``points`` is a batch or a plain sequence of raw integers (then
-    ``modulus`` is required).  Kept deliberately independent of the
-    sweep-based fast path.
+    ``points`` is a batch or a plain sequence of raw integers in
+    [0, modulus) (then ``modulus`` is required).  Kept deliberately
+    independent of the window kernel.
     """
     if modulus is None:
-        raw, modulus = _raw_and_modulus(points)
+        raw, modulus = points.raw, points.modulus
     else:
         raw = points
     n = len(raw)
@@ -65,8 +41,8 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
         return 0
     if 2 * threshold_raw >= modulus:
         return n * (n - 1)
-    if _numpy_capable(raw, modulus):
-        a = _as_u64_array(raw)
+    if modulus <= 1 << 63 or modulus == _FULL64:
+        a = np.asarray(raw, dtype=np.uint64)
         if modulus < _FULL64:
             # lift before subtracting: a uint64 wrap mod 2^64 would not
             # reduce correctly mod a modulus that does not divide 2^64
@@ -89,110 +65,70 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     return count
 
 
-# --- sorted circular sweep -------------------------------------------------
+# --- the window kernel -----------------------------------------------------
 
 
-def _count_clockwise_numpy(a_sorted: np.ndarray, t: int, modulus: int,
-                           per_point: bool = False):
-    """For each i, # of j != i with (a_j - a_i) mod modulus <= t; a_sorted ascending."""
+def window_counts(a_sorted: np.ndarray, queries: np.ndarray, t: int,
+                  modulus: int) -> np.ndarray:
+    """For each query x, the number of values of a_sorted within circle distance t.
+
+    A query that is itself a point of a_sorted counts itself.  The window
+    [x - t, x + t] wraps past 0 when x < t and past the modulus when
+    x > modulus - 1 - t; both offsets fit in uint64 for every modulus up
+    to 2^64, so the arithmetic is exact on uint64 and on object arrays.
+    """
     n = len(a_sorted)
-    t64 = _U64(t)
-    if modulus == _FULL64:
-        upper = a_sorted + t64  # wraps exactly mod 2^64
-        wrapped = upper < a_sorted
-    else:
-        m64 = _U64(modulus)
-        upper = a_sorted + t64
-        wrapped = upper >= m64
-        upper = np.where(wrapped, upper - m64, upper)
-    right = np.searchsorted(a_sorted, upper, side="right")
-    left = np.searchsorted(a_sorted, a_sorted, side="left")
-    counts = np.where(wrapped, (n - left) + right - 1, right - left - 1)
-    if per_point:
-        return counts
-    # each distinct-value pair registers in exactly one sweep direction,
-    # so the ordered total doubles the sweep; equal-value pairs already
-    # appear in both and must not be doubled
-    dup = int((np.searchsorted(a_sorted, a_sorted, side="right") - left - 1).sum())
-    return 2 * int(counts.sum()) - dup
-
-
-def _count_clockwise_python(sorted_vals, t: int, modulus: int) -> int:
-    n = len(sorted_vals)
-    total = 0
-    dup = 0
-    for i, v in enumerate(sorted_vals):
-        upper = v + t
-        left = bisect.bisect_left(sorted_vals, v)
-        dup += bisect.bisect_right(sorted_vals, v) - left - 1
-        if upper >= modulus:
-            total += (n - left) + bisect.bisect_right(sorted_vals, upper - modulus) - 1
-        else:
-            total += bisect.bisect_right(sorted_vals, upper) - left - 1
-    return 2 * total - dup
+    if 2 * t >= modulus:
+        return np.full(len(queries), n, dtype=np.int64)
+    top = modulus - 1 - t
+    counts = np.empty(len(queries), dtype=np.int64)
+    # blocks bound the temporaries, which are new Python ints on object arrays
+    for i in range(0, len(queries), _BLOCK):
+        x, block = queries[i:i + _BLOCK], counts[i:i + _BLOCK]
+        below, above = x < t, x > top
+        # the ends of a wrapped window may wrap mod 2^64 at first; they are
+        # then recomputed from the offsets above, which never do
+        edge = x + t
+        edge[above] = x[above] - top - 1
+        block[:] = np.searchsorted(a_sorted, edge, side="right")
+        np.subtract(x, t, out=edge)
+        edge[below] = x[below] + top + 1
+        block -= np.searchsorted(a_sorted, edge, side="left")
+        block[below | above] += n
+    return counts
 
 
 def sorted_raw(points):
-    """(sorted raw values, modulus) for a batch; numpy-backed when possible."""
-    raw, modulus = _raw_and_modulus(points)
-    if _numpy_capable(raw, modulus):
-        return np.sort(_as_u64_array(raw)), modulus
-    return sorted(int(v) % modulus for v in raw), modulus
+    """(sorted raw values, modulus) of a batch; the sort is done once per batch."""
+    return points.sorted(), points.modulus
 
 
 def pair_count_fast(points, threshold_raw: int, modulus: Optional[int] = None,
                     presorted=None) -> int:
-    """Ordered close-pair count via a sorted circular sweep; equals the naive count."""
-    if modulus is None:
-        if presorted is not None:
-            raise ValueError("presorted input requires an explicit modulus")
-        a, modulus = sorted_raw(points)
-    elif presorted is not None:
-        a = presorted
-    else:
-        a, _ = (np.sort(_as_u64_array(points)), modulus) \
-            if _numpy_capable(points, modulus) else (sorted(points), modulus)
-    n = len(a)
-    if n < 2:
-        return 0
-    if 2 * threshold_raw >= modulus:
-        return n * (n - 1)
-    if isinstance(a, np.ndarray):
-        return _count_clockwise_numpy(a, threshold_raw, modulus)
-    return _count_clockwise_python(a, threshold_raw, modulus)
+    """Ordered close-pair count via the window kernel; equals the naive count.
+
+    ``points`` is a batch, or raw values in [0, modulus) with an explicit
+    ``modulus``; ``presorted`` passes their sorted array directly.
+    """
+    if presorted is None:
+        presorted, modulus = sorted_raw(points if modulus is None else Batch(points, modulus))
+    elif modulus is None:
+        raise ValueError("presorted input requires an explicit modulus")
+    counts = window_counts(presorted, presorted, threshold_raw, modulus)
+    return int(counts.sum()) - len(presorted)
 
 
 def per_point_counts(a_sorted: np.ndarray, threshold_raw: int, modulus: int) -> np.ndarray:
-    """Clockwise+counterclockwise neighbor count per sorted point (ordered count shares)."""
-    cw = _count_clockwise_numpy(a_sorted, threshold_raw, modulus, per_point=True)
-    # counterclockwise neighbors of i are the points with i clockwise-within t;
-    # recompute symmetrically by sweeping the reflected circle
-    m = modulus if modulus < _FULL64 else 0
-    if modulus == _FULL64:
-        refl = np.sort(_U64(0) - a_sorted)
-    else:
-        refl = np.sort((_U64(m) - a_sorted) % _U64(m))
-    ccw = _count_clockwise_numpy(refl, threshold_raw, modulus, per_point=True)
-    # reflection reverses the sort order up to duplicates of 0; align by value
-    order = np.searchsorted(refl, (_U64(0) - a_sorted) if modulus == _FULL64
-                            else (_U64(m) - a_sorted) % _U64(m), side="left")
-    return cw + ccw[order]
+    """Neighbors within the threshold of each sorted point (its ordered count share)."""
+    return window_counts(a_sorted, a_sorted, threshold_raw, modulus) - 1
 
 
 def min_pair_distance(points) -> int:
     """Minimum circle distance over all pairs, in raw units (sorted neighbors)."""
     a, modulus = sorted_raw(points)
-    n = len(a)
-    if n < 2:
+    if len(a) < 2:
         raise ValueError("need at least two points")
-    if isinstance(a, np.ndarray):
-        gaps = np.diff(a)
-        wrap = (int(a[0]) - int(a[-1])) % modulus
-        best = int(min(int(gaps.min()) if len(gaps) else wrap, wrap))
-    else:
-        gaps = [a[i + 1] - a[i] for i in range(n - 1)]
-        gaps.append((a[0] - a[-1]) % modulus)
-        best = min(gaps)
+    best = min(int(np.diff(a).min()), (int(a[0]) - int(a[-1])) % modulus)
     return min(best, modulus - best)
 
 
@@ -274,23 +210,17 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
     return PairCountResult(n, float(alpha), float(s), thr, count, hi - lo)
 
 
-def f_stat_profile(spec, n_list: Sequence[int], alpha_list, s_list, guard_ulps=4):
-    """Evaluate f_stat on prefixes of one generated sequence, cell by cell.
+def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list, guard_ulps=4):
+    """Evaluate f_stat on prefixes of one batch, cell by cell.
 
-    The longest prefix is generated once; results come back in (N, alpha, s)
-    lexicographic order.
+    Results come back in (N, alpha, s) lexicographic order.
     """
-    from .sequences import generate
     n_list = list(n_list)
     if any(b > a for a, b in zip(n_list[1:], n_list)):
         raise ValueError("n_list must be ascending")
-    full = generate(spec, n_list[-1])
     results = []
     for n in n_list:
-        if isinstance(full, RationalBatch):
-            prefix = RationalBatch(full.base, full.exponent, full.numerators[:n])
-        else:
-            prefix = FixedBatch(full.precision, full.raw[:n])
+        prefix = batch.prefix(n)
         for alpha in alpha_list:
             for s in s_list:
                 results.append(f_stat(prefix, s, alpha, guard_ulps=guard_ulps))

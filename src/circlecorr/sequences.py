@@ -7,9 +7,10 @@ and seeded i.i.d. uniform points on the fixed-point grid.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -24,6 +25,8 @@ _GOLDEN_FRAC_192 = (math.isqrt(5 << (2 * _GOLDEN_BITS)) - (1 << _GOLDEN_BITS)) /
 
 # exact vdc batches keep a common denominator b^k up to this bound
 EXACT_DENOM_CAP = 1 << 120
+
+_U64_LIMIT = 1 << 64
 
 
 def golden_raw(precision=DEFAULT_PRECISION) -> int:
@@ -78,55 +81,58 @@ class SequenceSpec:
         _check_precision(self.precision)
 
 
-@dataclass
-class FixedBatch:
-    """Points on the 2^P grid; numpy uint64 when P=64, python ints otherwise."""
+class Batch:
+    """Raw points raw[i] / modulus with a sorted view computed once.
 
-    precision: int
-    raw: Union[np.ndarray, list]
+    ``raw`` is one numpy array: uint64 when the modulus is at most 2^64,
+    Python ints (dtype=object) above that.  Values lie in [0, modulus) and
+    are not modified after construction, so the sorted view stays valid.
+    """
+
+    def __init__(self, raw, modulus: int):
+        self.modulus = modulus
+        self.raw = np.asarray(raw, dtype=np.uint64 if modulus <= _U64_LIMIT else object)
+        self._sorted = None
 
     def __len__(self):
         return len(self.raw)
 
-    @property
-    def modulus(self):
-        return 1 << self.precision
+    def sorted(self) -> np.ndarray:
+        if self._sorted is None:
+            self._sorted = np.sort(self.raw)
+        return self._sorted
 
-    def raw_list(self):
-        return [int(v) for v in self.raw]
+    def prefix(self, n: int):
+        """The first n points, as a batch of the same kind."""
+        head = copy.copy(self)
+        head.raw, head._sorted = self.raw[:n], None
+        return head
 
-    def points(self):
-        return [UnitPoint(int(v), self.precision) for v in self.raw]
+
+class FixedBatch(Batch):
+    """Points on the 2^P grid."""
+
+    def __init__(self, precision: int, raw):
+        self.precision = precision
+        super().__init__(raw, 1 << precision)
 
 
-@dataclass
-class RationalBatch:
-    """Exact points numerators[i] / base**exponent."""
+class RationalBatch(Batch):
+    """Exact points raw[i] / base**exponent."""
 
-    base: int
-    exponent: int
-    numerators: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.numerators)
+    def __init__(self, base: int, exponent: int, raw):
+        self.base, self.exponent = base, exponent
+        super().__init__(raw, base ** exponent)
 
     @property
     def denominator(self):
-        return self.base ** self.exponent
-
-    def points(self):
-        return [RationalPoint(n, self.base, self.exponent) for n in self.numerators]
+        return self.modulus
 
     def to_fixed(self, precision=DEFAULT_PRECISION) -> FixedBatch:
         den = self.denominator
         scale = 1 << precision
-        raw = [((n * scale * 2 + den) // (2 * den)) % scale for n in self.numerators]
-        if precision == 64:
-            return FixedBatch(precision, np.array(raw, dtype=np.uint64))
-        return FixedBatch(precision, raw)
-
-
-Batch = Union[FixedBatch, RationalBatch]
+        nums = self.raw.astype(object)  # the scaled numerators exceed 64 bits
+        return FixedBatch(precision, (nums * scale * 2 + den) // (2 * den) % scale)
 
 
 def vdc(n: int, base: int = 2) -> RationalPoint:
@@ -175,36 +181,28 @@ def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatc
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = random.Random(seed)
-    raw = [rng.getrandbits(precision) for _ in range(count)]
-    if precision == 64:
-        return FixedBatch(precision, np.array(raw, dtype=np.uint64))
-    return FixedBatch(precision, raw)
+    return FixedBatch(precision, [rng.getrandbits(precision) for _ in range(count)])
 
 
 def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:
     start = 0 if include_zero else 1
-    last = start + N - 1
-    k = _num_digits(last, base)
-    if base ** k > EXACT_DENOM_CAP:
-        raw = [vdc(n, base).to_unit_point(precision).value for n in range(start, start + N)]
-        if precision == 64:
-            return FixedBatch(precision, np.array(raw, dtype=np.uint64))
-        return FixedBatch(precision, raw)
-    nums = []
-    for n in range(start, start + N):
-        p = vdc(n, base)
-        nums.append(p.numerator * base ** (k - p.exponent))
-    return RationalBatch(base, k, nums)
+    k = _num_digits(start + N - 1, base)
+    # reverse the k base-b digits of every index at once, lowest digit first
+    n = np.arange(start, start + N, dtype=np.uint64 if base ** k < _U64_LIMIT else object)
+    nums = np.zeros_like(n)
+    for _ in range(k):
+        nums = nums * base + n % base
+        n = n // base
+    batch = RationalBatch(base, k, nums)
+    return batch if batch.modulus <= EXACT_DENOM_CAP else batch.to_fixed(precision)
 
 
-def _kronecker_batch(z_spec, N: int, precision: int) -> FixedBatch:
+def _kronecker_batch(z_spec, first: int, N: int, precision: int) -> FixedBatch:
+    """Points {n z} for n = first .. first+N-1."""
     z = resolve_z(z_spec, precision)
-    if precision == 64:
-        n = np.arange(N, dtype=np.uint64)
-        raw = n * np.uint64(z)  # wraps mod 2^64
-        return FixedBatch(precision, raw)
-    mod = 1 << precision
-    return FixedBatch(precision, [(n * z) % mod for n in range(N)])
+    if precision == 64:  # uint64 products wrap mod 2^64
+        return FixedBatch(64, np.arange(first, first + N, dtype=np.uint64) * np.uint64(z))
+    return FixedBatch(precision, np.arange(first, first + N, dtype=object) * z % (1 << precision))
 
 
 def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
@@ -220,20 +218,14 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if spec.kind == "vdc":
         return _vdc_batch(spec.base, N, spec.include_zero, spec.precision)
     if spec.kind == "kronecker":
-        batch = _kronecker_batch(spec.z_spec, N + start, spec.precision)
-        if start:
-            return FixedBatch(spec.precision, batch.raw[start:])
-        return batch
+        return _kronecker_batch(spec.z_spec, start, N, spec.precision)
     if spec.kind == "sqrt_frac":
-        raw = [sqrt_frac(n, spec.precision).value for n in range(start + 1, start + N + 1)]
-        if spec.precision == 64:
-            return FixedBatch(spec.precision, np.array(raw, dtype=np.uint64))
-        return FixedBatch(spec.precision, raw)
+        return FixedBatch(spec.precision, [sqrt_frac(n, spec.precision).value
+                                           for n in range(start + 1, start + N + 1)])
     return iid_uniform(N, spec.seed, spec.precision)
 
 
 def kronecker_orbit(z_spec, N: int, precision=DEFAULT_PRECISION,
                     first: int = 1) -> FixedBatch:
     """Points {n z} for n = first .. first+N-1 (default starts at n=1)."""
-    batch = _kronecker_batch(z_spec, N + first, precision)
-    return FixedBatch(precision, batch.raw[first:])
+    return _kronecker_batch(z_spec, first, N, precision)

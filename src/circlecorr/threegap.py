@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import cf as cfmod
-from .numutil import DEFAULT_PRECISION
-from .paircorr import sorted_raw
+from .numutil import DEFAULT_PRECISION, circle_dist_raw
+from .paircorr import sorted_raw, window_counts
 from .sequences import kronecker_orbit, resolve_z
 
 
@@ -50,10 +50,7 @@ def gap_census(points, merge_ulps: int = 0) -> GapCensus:
     n = len(a)
     if n < 2:
         raise ValueError("census needs at least two points")
-    if isinstance(a, np.ndarray):
-        gaps = [int(g) for g in np.diff(a)]
-    else:
-        gaps = [a[i + 1] - a[i] for i in range(n - 1)]
+    gaps = [int(g) for g in np.diff(a)]
     gaps.append((int(a[0]) - int(a[-1])) % modulus)
     counts = {}
     for g in gaps:
@@ -118,11 +115,6 @@ class GapPrediction:
         return (self.l1, self.l2, self.l3)
 
 
-def circle_norm_raw(value: int, modulus: int) -> int:
-    v = value % modulus
-    return min(v, modulus - v)
-
-
 def gap_decomposition(N: int, denominators) -> tuple:
     """(k, m, r) with N = m q_k + q_{k-1} + r, 1 <= m, 0 <= r < q_k.
 
@@ -162,8 +154,8 @@ def predict_gaps(z_spec, N: int, precision: int = DEFAULT_PRECISION,
     while True:
         q_k = denominators[k]
         q_k1 = denominators[k - 1] if k >= 1 else 0
-        kk = circle_norm_raw(q_k * z_raw, modulus)
-        kk1 = circle_norm_raw(q_k1 * z_raw, modulus) if q_k1 else modulus
+        kk = circle_dist_raw(q_k * z_raw, 0, modulus)
+        kk1 = circle_dist_raw(q_k1 * z_raw, 0, modulus) if q_k1 else modulus
         l1 = kk1 - m * kk
         if l1 > 0 or k == 0:
             break
@@ -259,15 +251,8 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
     orbit = kronecker_orbit("golden", N, precision=precision)
     thr = threshold_from(s, N, alpha, precision=precision)
     t = thr.distance.value
-    raw = orbit.raw
-    modulus = 1 << precision
-    x = int(raw[l - 1])
-    if isinstance(raw, np.ndarray):
-        a = np.sort(raw)
-        count = _window_count(a, x, t, modulus)
-    else:
-        a = sorted(raw)
-        count = sum(1 for v in a if circle_norm_raw(v - x, modulus) <= t) - 1
+    a, modulus = sorted_raw(orbit)
+    count = int(window_counts(a, orbit.raw[l - 1:l], t, modulus)[0]) - 1
     normalized = count / N ** (1 - float(alpha))
     s_f = float(s)
     lower, upper = s_f / 2, 4 * s_f
@@ -275,18 +260,3 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
     return Lemma9Check(l, count, normalized, lower, upper,
                        lower < normalized < upper, vacuous)
 
-
-def _window_count(a_sorted: np.ndarray, x: int, t: int, modulus: int) -> int:
-    """# of points within circle distance t of x, excluding one copy of x itself."""
-    lo = (x - t) % modulus
-    hi = (x + t) % modulus
-    if modulus == 1 << 64:
-        lo, hi = np.uint64(lo), np.uint64(hi)
-    n = len(a_sorted)
-    if lo <= hi:
-        count = int(np.searchsorted(a_sorted, hi, side="right")
-                    - np.searchsorted(a_sorted, lo, side="left"))
-    else:  # window wraps zero
-        count = int(np.searchsorted(a_sorted, hi, side="right")
-                    + n - np.searchsorted(a_sorted, lo, side="left"))
-    return count - 1

@@ -8,6 +8,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -18,11 +19,11 @@ import numpy as np
 
 from . import cf as cfmod
 from .numutil import _MP_DPS, threshold_from
-from .paircorr import (f_stat, min_pair_distance, pair_count_fast,
-                       pair_count_naive, per_point_counts, sorted_raw,
-                       _raw_and_modulus)
+from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
+                       pair_count_fast, pair_count_naive, per_point_counts,
+                       sorted_raw)
 from .sequences import (FixedBatch, SequenceSpec, generate, iid_uniform,
-                        kronecker_orbit)
+                        kronecker_orbit, resolve_z)
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
                        lemma9_bounds_check, predict_gaps)
 
@@ -63,9 +64,9 @@ class VerificationReport:
 
 def _timed(fn):
     def wrapper(*args, **kwargs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = fn(*args, **kwargs)
-        report.elapsed = time.time() - t0
+        report.elapsed = time.perf_counter() - t0
         return report
     return wrapper
 
@@ -94,8 +95,7 @@ def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
             batch = FixedBatch(64, raw)
         else:
             batch = iid_uniform(n, rng.getrandbits(32))
-        raw, modulus = _raw_and_modulus(batch)
-        t = rng.randint(0, modulus // 2)
+        t = rng.randint(0, batch.modulus // 2)
         if pair_count_fast(batch, t) != pair_count_naive(batch, t):
             mismatches.append((kind, n, t))
     report.add(f"fast == naive over {trials} random batches (N <= {max_n})",
@@ -133,29 +133,20 @@ def suite_thm6(n_cap: int = 2 * 10 ** 6):
     """Exact van der Corput bracket 2s - 2N^(alpha-1) <= F <= 2s at N = b^n."""
     report = VerificationReport("thm6")
     for b, n_range in _THM6_RANGES.items():
-        violations = []
-        cells = 0
-        for n_exp in n_range:
-            n = b ** n_exp
-            if n > n_cap:
-                continue
-            batch = generate(SequenceSpec("vdc", base=b), n)
-            for alpha in _THM6_ALPHAS:
-                for s in _THM6_S:
-                    res = f_stat(batch, s, alpha)
-                    cells += 1
-                    if not _thm6_bounds_hold(res.ordered_pair_count, n, s, alpha):
-                        violations.append((n, float(alpha), float(s)))
-        report.add(f"base {b}: exact bracket over {cells} (N, alpha, s) cells",
+        ns = [b ** n_exp for n_exp in n_range if b ** n_exp <= n_cap]
+        cells = list(itertools.product(ns, _THM6_ALPHAS, _THM6_S))
+        results = f_stat_profile(generate(SequenceSpec("vdc", base=b), ns[-1]),
+                                 ns, _THM6_ALPHAS, _THM6_S) if ns else []
+        violations = [(n, alpha, s) for (n, alpha, s), res in zip(cells, results)
+                      if not _thm6_bounds_hold(res.ordered_pair_count, n, s, alpha)]
+        report.add(f"base {b}: exact bracket over {len(cells)} (N, alpha, s) cells",
                    "0 violations", f"{len(violations)} violations", "exact",
                    not violations)
     # non-Poissonian witness: minimal spacing 1/N at N = 2^n kills alpha = 1
-    bad = []
-    for n_exp in range(3, 21):
-        n = 2 ** n_exp
-        res = f_stat(generate(SequenceSpec("vdc", base=2), n), Fraction(1, 2), 1)
-        if res.ordered_pair_count != 0:
-            bad.append(n)
+    ns = [2 ** n_exp for n_exp in range(3, 21)]
+    results = f_stat_profile(generate(SequenceSpec("vdc", base=2), ns[-1]),
+                             ns, [1], [Fraction(1, 2)])
+    bad = [res.n for res in results if res.ordered_pair_count != 0]
     report.add("base 2, alpha=1, s=1/2: count at N = 2^n, n <= 20",
                "0 for all n", f"nonzero at {bad}" if bad else "0 for all n",
                "exact", not bad)
@@ -181,7 +172,7 @@ def suite_thm7():
                "count 0, 0 ambiguous", f"violations at h={bad}" if bad else "all zero",
                "exact", not bad)
     orbit30 = kronecker_orbit("golden", cfmod.fibonacci(30))
-    orbit15 = FixedBatch(64, orbit30.raw[:cfmod.fibonacci(15)])
+    orbit15 = orbit30.prefix(cfmod.fibonacci(15))
     for alpha in (0.3, 0.5, 0.7):
         for s in (Fraction(1, 2), Fraction(1), Fraction(2)):
             err30 = abs(f_stat(orbit30, s, alpha).f_value - 2 * s) / (2 * s)
@@ -402,40 +393,33 @@ def iid_mean_check(n: int = 10 ** 5, seeds=range(10), s=1, tolerance: float = 0.
 
 
 @_timed
-def performance_check(n: int = 10 ** 7, budget_s: float = 10.0,
-                      spot_checks: int = 1000, seed: int = 12):
-    """Single golden cell at N=10^7 within budget, spot-checked per point."""
+def performance_check(n: int = 10 ** 7, budget_s: float = 10.0):
+    """Single golden cell at N=10^7 within budget; every per-point count checked."""
     report = VerificationReport("performance")
     orbit = kronecker_orbit("golden", n)
     a, modulus = sorted_raw(orbit)
-    thr = threshold_from(1, n, 0.5)
-    t = thr.distance.value
-    t0 = time.time()
+    t = threshold_from(1, n, 0.5).distance.value
+    t0 = time.perf_counter()
     count = pair_count_fast(a, t, modulus, presorted=a)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report.add(f"pair_count_fast, N={n}, alpha=0.5, s=1",
                f"<= {budget_s} s", f"{elapsed:.2f} s", f"{budget_s} s",
                elapsed <= budget_s)
+    # rotation identity, independent of sorting and windows: orbit point i
+    # is (i+1) z, so ||x_i - x_j|| = ||(j - i) z||.  With H the d in [1, N)
+    # where ||d z|| <= t and C(k) = #{h in H : h <= k}, point i has
+    # C(N-1-i) + C(i) neighbours and the total is 2 sum_{d in H} (N - d)
+    d = np.arange(1, n, dtype=np.uint64)
+    dz = d * np.uint64(resolve_z("golden"))  # wraps mod 2^64
+    near = np.minimum(dz, np.uint64(0) - dz) <= np.uint64(t)
+    c = np.concatenate([[0], np.cumsum(near)])
+    total = 2 * int((np.uint64(n) - d[near]).sum())
     pp = per_point_counts(a, t, modulus)
-    consistent = int(pp.sum()) == count
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(spot_checks):
-        i = rng.randrange(n)
-        x = int(orbit.raw[i])
-        lo = np.uint64((x - t) % modulus)
-        hi = np.uint64((x + t) % modulus)
-        if lo <= hi:
-            window = int(np.searchsorted(a, hi, side="right")
-                         - np.searchsorted(a, lo, side="left")) - 1
-        else:
-            window = int(np.searchsorted(a, hi, side="right")
-                         + n - np.searchsorted(a, lo, side="left")) - 1
-        if window != int(pp[np.searchsorted(a, np.uint64(x))]):
-            bad += 1
-    report.add(f"windowed recount of {spot_checks} random points",
-               "all match, per-point sum equals total count",
-               f"{bad} mismatches, sum {'==' if consistent else '!='} count",
+    bad = int(np.count_nonzero(pp != (c[::-1] + c)[np.argsort(orbit.raw)]))
+    consistent = int(pp.sum()) == count == total
+    report.add(f"per-point counts of all {n} points against the rotation identity",
+               "all match, per-point sum and count equal 2 sum_H (N - d)",
+               f"{bad} mismatches, sums {'agree' if consistent else 'differ'}",
                "exact", bad == 0 and consistent)
     return report
 

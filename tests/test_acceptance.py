@@ -106,6 +106,6 @@ def test_criterion_11_iid_statistic():
 
 
 def test_criterion_12_performance():
-    report = verify.performance_check(n=10 ** 7, budget_s=10.0, spot_checks=1000)
-    _report(12, "N = 1e7 count within 10s, windowed recount of 1000 points "
-                "agrees", report.passed)
+    report = verify.performance_check(n=10 ** 7, budget_s=10.0)
+    _report(12, "N = 1e7 count within 10s, every per-point count matches "
+                "the rotation identity", report.passed)

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +127,59 @@ def test_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("i,a_i,p_i,q_i")
+
+
+# SHA-256 of each command's --out file, recorded before the counting kernel
+# and the batch type were unified; any drift in counts, thresholds, F
+# formatting or point serialization changes a digest
+OUTPUT_DIGESTS = {
+    "gen-vdc3-csv": ("gen --seq vdc --base 3 --n 100",
+        "5bb091ee1230f570abe50d637f2e09c4412849fe138e4835f4ed3baeb061b9fe"),
+    "gen-vdc3-bin": ("gen --seq vdc --base 3 --n 100 --binary",
+        "793952eda2b123705a958519410db407a4f48d085e9768ae081352560a85f419"),
+    "gen-golden-csv": ("gen --seq kronecker --n 100",
+        "76f3945c4d76d5174e5b8690d2eb53d8f0f18e15e53aca69daafa2bd4b4ed8ab"),
+    "gen-golden-bin": ("gen --seq kronecker --n 100 --binary",
+        "ecb395b1b888790b7bbccbb8a6f44bae9bddff1091082062b8ffba00f32f2038"),
+    "gen-iid128-csv": ("gen --seq iid --seed 4 --precision 128 --n 100",
+        "f1e57f6b1774486138427afb7ad140eba087a85a356fbc8e44cd9d13eee01388"),
+    "gen-iid128-bin": ("gen --seq iid --seed 4 --precision 128 --n 100 --binary",
+        "6d6a87dc16780a457c7722b4e057d29897ab541e6c923fa10cc6ac56e2fc7b31"),
+    "fstat-vdc10-csv": ("fstat --seq vdc --base 10 --n 100,1000 --alpha 0.5,1 --s 0.5,1",
+        "eb4bee16c8b53e4b3fe7558dea00b3ad99657a7073da334f61031d5e7a072fc6"),
+    "fstat-vdc10-text": ("fstat --seq vdc --base 10 --n 100,1000 --alpha 0.5,1 --s 0.5,1 --format text",
+        "dc1a4ed54704dec0b74e005c154ab18d19e82067bc667a83b6420580627a9b37"),
+    "fstat-golden64-csv": ("fstat --seq kronecker --n 987,5000 --alpha 0.5,0.9,1 --s 0.5,1",
+        "ba39e5b731557149cf21411f07f4510c180f147d0471ccd705fdaaedac09f1b2"),
+    "fstat-golden64-text": ("fstat --seq kronecker --n 987,5000 --alpha 0.5,0.9,1 --s 0.5,1 --format text",
+        "ad640ee65f4c07376866cf6c9083dd6be20acea42cee9004d5a8e4e63f6abfca"),
+    "fstat-golden128-csv": ("fstat --seq kronecker --precision 128 --n 987,3000 --alpha 0.5,1 --s 0.5,1",
+        "abb9985f6a4fb1d727af6ecbc138f043af8c5c2fed4da64685ffbd82578ee752"),
+    "fstat-golden128-text": ("fstat --seq kronecker --precision 128 --n 987,3000 --alpha 0.5,1 --s 0.5,1 --format text",
+        "bb6b3b65e3d5f71577677e3bc945d9ec1719cf2417dfaf3b763b56431c930664"),
+    "fstat-sqrt-csv": ("fstat --seq sqrt_frac --n 500,2000 --alpha 0.5,1 --s 1",
+        "f666733f9af2234cf5abb8005f9a24d809e4b98cef16f2c59682c0094444b4b3"),
+    "fstat-sqrt-text": ("fstat --seq sqrt_frac --n 500,2000 --alpha 0.5,1 --s 1 --format text",
+        "b8a131c81bd5d8efa136cd4cbe9129e2110fe531cc7773e2f7997e85e312d50e"),
+    "fstat-points-csv": ("fstat --points pts.csv --n 100,300 --alpha 0.5,1 --s 1,2",
+        "416355702c38246963c7b25f899d97b60c11c16c66ce0f61eb407ca0fa13de4d"),
+    "fstat-points-text": ("fstat --points pts.csv --n 100,300 --alpha 0.5,1 --s 1,2 --format text",
+        "91430e8681ec072347b5f0a38263f41fae5880b431df16b229a49b9975fa49fa"),
+    "gaps-csv": ("gaps --n 100",
+        "3e4b362e3fed65ae711a552b92159d292a43fcb1634e762ed89485f7d916ce04"),
+    "gaps-text": ("gaps --n 100 --format text",
+        "c47fefdb55cab19728d5d1b8a8f84be58cd002c501f3225c5da243c92e588cbe"),
+    "fstat-points128-bin": ("fstat --points pts128.bin --points-format binary --precision 128 --n 200,400 --alpha 0.5,1 --s 1",
+        "0665e3c68a754d5899be008f50b5c57d0d1fa433d62298f94406a80b7f4dae75"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_cli_output_bytes_unchanged(name, tmp_path, monkeypatch):
+    argv, digest = OUTPUT_DIGESTS[name]
+    monkeypatch.chdir(tmp_path)  # fstat --points echoes the file name
+    assert main("gen --seq iid --seed 5 --n 300 --out pts.csv".split()) == 0
+    assert main("gen --seq iid --seed 6 --precision 128 --n 400 --binary "
+                "--out pts128.bin".split()) == 0
+    assert main(argv.split() + ["--out", "out"]) == 0
+    assert hashlib.sha256(Path("out").read_bytes()).hexdigest() == digest

@@ -33,13 +33,26 @@ def test_fast_equals_naive_equals_reference(vals, t):
     assert pair_count_fast(batch, t) == ref
 
 
-@given(st.lists(st.integers(min_value=0, max_value=999), min_size=2, max_size=40),
-       st.integers(min_value=0, max_value=500))
-def test_counting_on_odd_modulus(vals, t):
-    # plain integer lists with an explicit non-power-of-two modulus
-    ref = reference_count(vals, t, 1000)
-    assert pair_count_naive(vals, t, modulus=1000) == ref
-    assert pair_count_fast(vals, t, modulus=1000) == ref
+@st.composite
+def modulus_cases(draw):
+    # uint64 moduli on both sides of 2^63, the full 2^64 grid and an
+    # object-array modulus; repeated values, and thresholds at both ends
+    modulus = draw(st.sampled_from(
+        [7, 1000, 3 ** 40, 2 ** 63 + 12345, 2 ** 64 - 1, 2 ** 64, 2 ** 128]))
+    pool = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=20))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+    t = draw(st.one_of(st.just(0), st.just((modulus - 1) // 2),
+                       st.integers(0, (modulus - 1) // 2)))
+    return vals, t, modulus
+
+
+@given(modulus_cases())
+def test_counting_on_odd_modulus(case):
+    # plain integer lists with an explicit modulus
+    vals, t, modulus = case
+    ref = reference_count(vals, t, modulus)
+    assert pair_count_naive(vals, t, modulus=modulus) == ref
+    assert pair_count_fast(vals, t, modulus=modulus) == ref
 
 
 @given(raw_lists, st.integers(min_value=0, max_value=M64 // 2 - 1))
@@ -90,6 +103,12 @@ def test_per_point_counts_sum_to_total():
     t = M64 // 500
     pp = per_point_counts(a, t, modulus)
     assert int(pp.sum()) == pair_count_fast(batch, t)
+    # equal-valued points are neighbours once each, not twice
+    dup = FixedBatch(64, np.array([5, 5, 100], dtype=np.uint64))
+    a, modulus = sorted_raw(dup)
+    pp = per_point_counts(a, 10, modulus)
+    assert list(pp) == [1, 1, 0]
+    assert int(pp.sum()) == pair_count_naive(dup, 10)
 
 
 # --- the F statistic --------------------------------------------------------
@@ -100,7 +119,7 @@ def test_f_stat_exact_mode_matches_fraction_oracle():
     s, alpha = Fraction(1), Fraction(1, 2)
     res = f_stat(batch, s, alpha)
     # independent oracle: exact rational distances against s/N^alpha = 1/9
-    pts = [Fraction(n, batch.denominator) for n in batch.numerators]
+    pts = [Fraction(int(n), batch.denominator) for n in batch.raw]
     thr = Fraction(1, 9)
     ref = sum(1 for i in range(81) for j in range(81) if i != j
               and min((d := abs(pts[i] - pts[j])), 1 - d) <= thr)
@@ -127,13 +146,13 @@ def test_f_stat_rejects_tiny_batches():
 
 def test_f_stat_profile_matches_single_cells():
     spec = SequenceSpec("vdc", base=2)
-    table = f_stat_profile(spec, [64, 256], [0.5, 1.0], [1])
+    table = f_stat_profile(generate(spec, 256), [64, 256], [0.5, 1.0], [1])
     assert len(table) == 4
     for row in table:
         single = f_stat(generate(spec, row.n), row.s, row.alpha)
         assert row.ordered_pair_count == single.ordered_pair_count
     with pytest.raises(ValueError):
-        f_stat_profile(spec, [256, 64], [1], [1])
+        f_stat_profile(generate(spec, 256), [256, 64], [1], [1])
 
 
 @settings(deadline=None)

@@ -31,7 +31,7 @@ def test_vdc_block_is_grid_permutation(base, n_exp):
     batch = generate(SequenceSpec("vdc", base=base), n)
     assert isinstance(batch, RationalBatch)
     scale = batch.denominator // n
-    assert sorted(batch.numerators) == [i * scale for i in range(n)]
+    assert sorted(int(v) for v in batch.raw) == [i * scale for i in range(n)]
 
 
 def test_golden_raw_matches_mpmath():
@@ -118,7 +118,7 @@ def test_generate_vdc_stays_exact():
 
 def test_generate_vdc_skip_zero():
     batch = generate(SequenceSpec("vdc", base=2, include_zero=False), 3)
-    fracs = [Fraction(v, batch.denominator) for v in batch.numerators]
+    fracs = [Fraction(int(v), batch.denominator) for v in batch.raw]
     assert fracs == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
 
 
