@@ -191,7 +191,7 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
         raise ValueError("need at least two points")
     if isinstance(points, RationalBatch):
         s_f, alpha_f = _to_exact(s), _to_exact(alpha)
-        den = points.denominator
+        den = points.modulus
         d_max = _exact_threshold_numerator(s_f, n, alpha_f, den)
         a, modulus = sorted_raw(points)
         count = pair_count_fast(a, min(d_max, den // 2), modulus, presorted=a)
@@ -243,7 +243,7 @@ def rescaling_identity_check(points, s, alpha1, alpha2) -> bool:
     if isinstance(points, RationalBatch):
         import math
         s1, a1, a2 = _to_exact(s), _to_exact(alpha1), _to_exact(alpha2)
-        den = points.denominator
+        den = points.modulus
         # alpha1 route: threshold (s N^(a1-a2)) / N^a1, every power kept exact
         r = math.lcm(a1.denominator, a2.denominator)
         rhs = s1.numerator ** r * n ** int((a1 - a2) * r) * den ** r

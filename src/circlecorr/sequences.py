@@ -124,12 +124,8 @@ class RationalBatch(Batch):
         self.base, self.exponent = base, exponent
         super().__init__(raw, base ** exponent)
 
-    @property
-    def denominator(self):
-        return self.modulus
-
     def to_fixed(self, precision=DEFAULT_PRECISION) -> FixedBatch:
-        den = self.denominator
+        den = self.modulus
         scale = 1 << precision
         nums = self.raw.astype(object)  # the scaled numerators exceed 64 bits
         return FixedBatch(precision, (nums * scale * 2 + den) // (2 * den) % scale)

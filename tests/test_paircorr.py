@@ -36,13 +36,14 @@ def test_fast_equals_naive_equals_reference(vals, t):
 @st.composite
 def modulus_cases(draw):
     # uint64 moduli on both sides of 2^63, the full 2^64 grid and an
-    # object-array modulus; repeated values, and thresholds at both ends
+    # object-array modulus; repeated values, and thresholds at both ends,
+    # up to the degenerate t = modulus // 2 where every ordered pair counts
     modulus = draw(st.sampled_from(
         [7, 1000, 3 ** 40, 2 ** 63 + 12345, 2 ** 64 - 1, 2 ** 64, 2 ** 128]))
     pool = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=20))
     vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
     t = draw(st.one_of(st.just(0), st.just((modulus - 1) // 2),
-                       st.integers(0, (modulus - 1) // 2)))
+                       st.just(modulus // 2), st.integers(0, modulus // 2)))
     return vals, t, modulus
 
 
@@ -90,7 +91,7 @@ def test_precision_128_paths_agree():
 
 def test_min_pair_distance_examples():
     batch = generate(SequenceSpec("vdc", base=2), 8)
-    assert Fraction(min_pair_distance(batch), batch.denominator) == Fraction(1, 8)
+    assert Fraction(min_pair_distance(batch), batch.modulus) == Fraction(1, 8)
     dup = FixedBatch(64, np.array([5, 5], dtype=np.uint64))
     assert min_pair_distance(dup) == 0
     wrap = FixedBatch(64, np.array([1, M64 - 3], dtype=np.uint64))
@@ -119,7 +120,7 @@ def test_f_stat_exact_mode_matches_fraction_oracle():
     s, alpha = Fraction(1), Fraction(1, 2)
     res = f_stat(batch, s, alpha)
     # independent oracle: exact rational distances against s/N^alpha = 1/9
-    pts = [Fraction(int(n), batch.denominator) for n in batch.raw]
+    pts = [Fraction(int(n), batch.modulus) for n in batch.raw]
     thr = Fraction(1, 9)
     ref = sum(1 for i in range(81) for j in range(81) if i != j
               and min((d := abs(pts[i] - pts[j])), 1 - d) <= thr)

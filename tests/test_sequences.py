@@ -30,7 +30,7 @@ def test_vdc_block_is_grid_permutation(base, n_exp):
     n = base ** n_exp
     batch = generate(SequenceSpec("vdc", base=base), n)
     assert isinstance(batch, RationalBatch)
-    scale = batch.denominator // n
+    scale = batch.modulus // n
     assert sorted(int(v) for v in batch.raw) == [i * scale for i in range(n)]
 
 
@@ -110,15 +110,15 @@ def test_generate_vdc_stays_exact():
     # the common denominator b^k tracks N, far below the exact-mode cap
     small = generate(SequenceSpec("vdc", base=2), 1 << 10)
     assert isinstance(small, RationalBatch)
-    assert small.denominator == 1 << 10
+    assert small.modulus == 1 << 10
     odd = generate(SequenceSpec("vdc", base=2), (1 << 10) + 1)
     assert isinstance(odd, RationalBatch)
-    assert odd.denominator == 1 << 11
+    assert odd.modulus == 1 << 11
 
 
 def test_generate_vdc_skip_zero():
     batch = generate(SequenceSpec("vdc", base=2, include_zero=False), 3)
-    fracs = [Fraction(int(v), batch.denominator) for v in batch.raw]
+    fracs = [Fraction(int(v), batch.modulus) for v in batch.raw]
     assert fracs == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
 
 
