@@ -68,7 +68,10 @@ def read_points_csv(stream, precision: int) -> FixedBatch:
         line = line.strip()
         if not line or (i == 0 and line == "value"):
             continue
-        values.append(parse_point(line, precision))
+        try:
+            values.append(parse_point(line, precision))
+        except (ArithmeticError, ValueError):  # decimal.InvalidOperation, NaN, Infinity
+            raise UsageError(f"line {i + 1}: {line!r} is not a point value") from None
     return FixedBatch(precision, values)
 
 

@@ -2,8 +2,9 @@
 
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
-batch's sorted raw values; the naive path is a full distance matrix kept
-as an independent oracle.
+batch's sorted raw values, except rotation batches, which f_stat counts
+by the difference sum; the naive path is a full distance matrix kept as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .sequences import Batch, RationalBatch
 _U64 = np.uint64
 _FULL64 = 1 << 64
 _BLOCK = 1 << 14  # queries per window_counts step
+_DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
 
 
 # --- naive oracle ----------------------------------------------------------
@@ -96,6 +98,56 @@ def window_counts(a_sorted: np.ndarray, queries: np.ndarray, t: int,
         block -= np.searchsorted(a_sorted, edge, side="left")
         block[below | above] += n
     return counts
+
+
+def is_progression(raw: np.ndarray, modulus: int) -> bool:
+    """True when raw[i] = raw[0] + i z mod modulus for one step z.
+
+    For fixed-point raw values: uint64 at modulus 2^64, whose differences
+    wrap on their own, or Python ints reduced mod the modulus.  One pass
+    over the consecutive differences in blocks; it stops at the first block
+    that breaks the step.
+    """
+    if raw.dtype != object and modulus != _FULL64:
+        return False  # uint64 differences wrap mod 2^64, not mod this modulus
+    step = None
+    for start in range(0, len(raw) - 1, _DIFF_BLOCK):
+        steps = np.diff(raw[start:start + _DIFF_BLOCK + 1])
+        if raw.dtype == object:
+            steps %= modulus
+        if step is None:
+            step = steps[0]
+        if not (steps == step).all():
+            return False
+    return True
+
+
+def rotation_counts(raw: np.ndarray, thresholds: Sequence[int], modulus: int) -> list:
+    """Ordered close-pair counts of an arithmetic progression, one per threshold.
+
+    For raw[i] = raw[0] + i z mod modulus, ||raw[i] - raw[j]|| equals
+    ||raw[|i - j|] - raw[0]||, so the count at t is
+    2 sum_{d=1}^{N-1} (N - d) [||raw[d] - raw[0]|| <= t]: one pass over the
+    stored differences in blocks, with no sort and no N-sized temporary.
+    raw is fixed-point, as in is_progression.  Thresholds are >= 0; those at
+    or above modulus // 2 count every pair.
+    """
+    n = len(raw)
+    totals = [0] * len(thresholds)
+    if n < 2:
+        return totals
+    r0, top = raw[0], max(thresholds)
+    for start in range(1, n, _DIFF_BLOCK):
+        diff = raw[start:start + _DIFF_BLOCK] - r0  # uint64 wraps mod 2^64
+        if raw.dtype == object:
+            diff %= modulus
+        # modulus - diff, written so that diff = 0 at modulus 2^64 wraps to 0
+        dist = np.minimum(diff, (modulus - 1) - diff + 1)
+        near = np.flatnonzero(dist <= top)
+        dist, weight = dist[near], (n - start) - near  # weight N - d
+        for k, t in enumerate(thresholds):
+            totals[k] += int(weight[dist <= t].sum())
+    return [2 * total for total in totals]
 
 
 def sorted_raw(points):
@@ -185,6 +237,8 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
     Rational batches are counted with exact integer comparisons against the
     exact threshold (no guard band); fixed-point batches use the rounded
     threshold and tally pairs within +-guard_ulps of it as ambiguous.
+    Rotation batches (raw values in arithmetic progression) are counted by
+    rotation_counts, every other batch by the window kernel.
     """
     n = len(points)
     if n < 2:
@@ -199,15 +253,19 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
         return PairCountResult(n, float(alpha), float(s), thr, count, 0)
     precision = points.precision
     thr = threshold_from(s, n, alpha, precision=precision, guard_ulps=guard_ulps)
-    a, modulus = sorted_raw(points)
     t = thr.distance.value
     if thr.degenerate:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
-    count = pair_count_fast(a, t, modulus, presorted=a)
-    g = guard_ulps
-    hi = pair_count_fast(a, min(t + g, modulus // 2), modulus, presorted=a)
-    lo = pair_count_fast(a, t - g - 1, modulus, presorted=a) if t > g else 0
-    return PairCountResult(n, float(alpha), float(s), thr, count, hi - lo)
+    g, modulus = guard_ulps, points.modulus
+    # the count at t, then the guard band's ends t + g and t - g - 1
+    thresholds = [t, min(t + g, modulus // 2)] + ([t - g - 1] if t > g else [])
+    if is_progression(points.raw, modulus):
+        counts = rotation_counts(points.raw, thresholds, modulus)
+    else:
+        a, _ = sorted_raw(points)
+        counts = [pair_count_fast(a, u, modulus, presorted=a) for u in thresholds]
+    count, hi, *lo = counts
+    return PairCountResult(n, float(alpha), float(s), thr, count, hi - sum(lo))
 
 
 def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list, guard_ulps=4):

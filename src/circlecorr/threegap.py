@@ -50,12 +50,11 @@ def gap_census(points, merge_ulps: int = 0) -> GapCensus:
     n = len(a)
     if n < 2:
         raise ValueError("census needs at least two points")
-    gaps = [int(g) for g in np.diff(a)]
-    gaps.append((int(a[0]) - int(a[-1])) % modulus)
-    counts = {}
-    for g in gaps:
-        counts[g] = counts.get(g, 0) + 1
-    entries = sorted(counts.items())
+    # the wrap-around gap keeps a's dtype: a uint64 value >= 2^63 given as a
+    # Python int would promote the array to float64
+    wrap = np.array([(int(a[0]) - int(a[-1])) % modulus], dtype=a.dtype)
+    lengths, mults = np.unique(np.concatenate([np.diff(a), wrap]), return_counts=True)
+    entries = [(int(g), int(c)) for g, c in zip(lengths, mults)]
     if merge_ulps:
         merged = [list(entries[0])]
         for length, mult in entries[1:]:

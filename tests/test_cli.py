@@ -116,6 +116,18 @@ def test_cap_enforced(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("bad", ["abc", "Infinity", "NaN"])
+def test_malformed_points_csv_is_usage_error(bad, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"value\n0.25\n{bad}\n0.5\n")
+    proc = subprocess.run([sys.executable, "-m", "circlecorr.cli", "fstat",
+                           "--points", str(path), "--n", "3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 3" in proc.stderr and bad in proc.stderr
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlecorr import paircorr
 from circlecorr.numutil import circle_dist_raw
-from circlecorr.paircorr import (f_stat, f_stat_profile, min_pair_distance,
-                                 pair_count_fast, pair_count_naive,
-                                 per_point_counts, rescaling_identity_check,
+from circlecorr.paircorr import (f_stat, f_stat_profile, is_progression,
+                                 min_pair_distance, pair_count_fast,
+                                 pair_count_naive, per_point_counts,
+                                 rescaling_identity_check, rotation_counts,
                                  sorted_raw)
-from circlecorr.sequences import (FixedBatch, SequenceSpec, generate,
-                                  iid_uniform)
+from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate,
+                                  iid_uniform, kronecker_orbit)
 
 M64 = 1 << 64
 
@@ -170,3 +173,142 @@ def test_rescaling_identity_fixed(seed, n):
 def test_rescaling_identity_exact_mode():
     batch = generate(SequenceSpec("vdc", base=5), 625)
     assert rescaling_identity_check(batch, Fraction(3, 2), Fraction(3, 4), Fraction(1, 4))
+
+
+# --- rotation batches: the difference sum against the window kernel ---------
+
+
+def _same_as_window_path(batch, s, alpha, guard_ulps=4):
+    """f_stat on a rotation batch equals f_stat forced onto the window kernel."""
+    assert is_progression(batch.raw, batch.modulus)
+    fast = f_stat(batch, s, alpha, guard_ulps=guard_ulps)
+    assert batch._sorted is None  # the difference sum never sorts
+    with mock.patch.object(paircorr, "is_progression", return_value=False):
+        slow = f_stat(batch, s, alpha, guard_ulps=guard_ulps)
+    assert (fast.ordered_pair_count, fast.ambiguous_pairs) == \
+        (slow.ordered_pair_count, slow.ambiguous_pairs)
+    return fast
+
+
+@pytest.mark.parametrize("z", ["golden", Fraction(16, 113), Fraction(1, 2),
+                               0xd1b54a32d192ed03, 0, 1])
+@pytest.mark.parametrize("precision", [64, 128])
+def test_f_stat_rotation_matches_window_path(z, precision):
+    for n, start in ((2, 0), (987, 0), (1500, 37)):
+        for alpha in (0.5, 0.9, 1):
+            for s in (Fraction(1, 2), 1, 3):
+                batch = generate(SequenceSpec("kronecker", z_spec=z, precision=precision),
+                                 n, start=start)
+                _same_as_window_path(batch, s, alpha)
+
+
+def test_f_stat_rotation_edge_thresholds():
+    def orbit():
+        return kronecker_orbit("golden", 2000)
+    # s/N^alpha >= 1/2: the degenerate branch counts every ordered pair
+    assert _same_as_window_path(orbit(), 1, 0).ordered_pair_count == 2000 * 1999
+    # t <= guard band: no lower recount; then a band of 10^15 ulps
+    res = _same_as_window_path(orbit(), Fraction(1, 2 ** 62), 0, guard_ulps=4)
+    assert res.threshold.distance.value <= 4
+    _same_as_window_path(orbit(), 1, 0.5, guard_ulps=10 ** 15)
+    # all points equal: every pair is within any threshold
+    same = kronecker_orbit(0, 500)
+    assert _same_as_window_path(same, 1, 1).ordered_pair_count == 500 * 499
+
+
+def test_f_stat_rotation_prefixes_and_profile():
+    for n in (2, 100, 2999):
+        _same_as_window_path(kronecker_orbit(0x9e3779b97f4a7c15, 3000).prefix(n), 1, 0.5)
+    orbit = kronecker_orbit(0x9e3779b97f4a7c15, 3000)
+    table = f_stat_profile(orbit, [100, 3000], [0.5, 0.9], [1])
+    with mock.patch.object(paircorr, "is_progression", return_value=False):
+        plain = f_stat_profile(orbit, [100, 3000], [0.5, 0.9], [1])
+    assert [(r.ordered_pair_count, r.ambiguous_pairs) for r in table] == \
+        [(r.ordered_pair_count, r.ambiguous_pairs) for r in plain]
+
+
+@st.composite
+def progression_cases(draw):
+    # arithmetic progressions raw[i] = r0 + i z on the two fixed-point
+    # moduli; thresholds sit on, just below and just above the distances
+    # that occur, and past modulus // 2
+    modulus = draw(st.sampled_from([2 ** 64, 2 ** 128]))
+    r0, z = draw(st.integers(0, modulus - 1)), draw(st.integers(0, modulus - 1))
+    raw = [(r0 + i * z) % modulus for i in range(draw(st.integers(1, 40)))]
+    near = [circle_dist_raw(v, raw[0], modulus) + k for v in raw for k in (-1, 0, 1)]
+    ts = draw(st.lists(st.one_of(st.sampled_from([t for t in near if t >= 0]),
+                                 st.just(modulus // 2), st.integers(0, 2 * modulus)),
+                       min_size=1, max_size=3))
+    return raw, ts, modulus
+
+
+@given(progression_cases())
+def test_rotation_counts_on_fixed_point_moduli(case):
+    raw, ts, modulus = case
+    arr = Batch(raw, modulus).raw  # uint64 at 2^64, object at 2^128
+    assert is_progression(arr, modulus)
+    assert rotation_counts(arr, ts, modulus) == \
+        [reference_count(raw, t, modulus) for t in ts]
+
+
+@given(progression_cases(), st.data())
+def test_is_progression_rejects_any_changed_point(case, data):
+    raw, _, modulus = case
+    if len(raw) < 3:  # one or two points always form a progression
+        return
+    i = data.draw(st.integers(0, len(raw) - 1))
+    v = data.draw(st.integers(0, modulus - 1).filter(lambda v: v != raw[i]))
+    changed = Batch(raw[:i] + [v] + raw[i + 1:], modulus).raw
+    assert not is_progression(changed, modulus)
+
+
+def test_rotation_counts_spans_several_blocks():
+    orbit = kronecker_orbit("golden", 200_000)
+    t = M64 // 10 ** 5
+    assert rotation_counts(orbit.raw, [t, 0], orbit.modulus) == \
+        [pair_count_fast(orbit, t), 0]
+
+
+def test_is_progression_across_blocks():
+    raw = kronecker_orbit("golden", 200_000).raw
+    assert is_progression(raw, M64)
+    # the step grows by one from difference `cut` on; at cut = _DIFF_BLOCK
+    # each block alone is a progression and only the step across them differs
+    for cut in (paircorr._DIFF_BLOCK - 1, paircorr._DIFF_BLOCK, 150_000):
+        bent = raw.copy()
+        bent[cut:] += np.arange(len(raw) - cut, dtype=np.uint64)
+        assert not is_progression(bent, M64)
+
+
+def test_is_progression_on_each_family():
+    for precision in (64, 128):
+        spec = SequenceSpec("kronecker", z_spec=Fraction(3, 7), precision=precision)
+        for batch in (generate(spec, 2), generate(spec, 50, start=9),
+                      kronecker_orbit(Fraction(3, 7), 50, precision=precision),
+                      generate(spec, 50).prefix(10), kronecker_orbit(0, 50)):
+            assert is_progression(batch.raw, batch.modulus)
+    for spec in (SequenceSpec("vdc", base=3), SequenceSpec("iid", seed=1),
+                 SequenceSpec("sqrt_frac")):
+        batch = generate(spec, 50)
+        assert not is_progression(batch.raw, batch.modulus)
+    batch = generate(SequenceSpec("vdc", base=3), 50).to_fixed()
+    assert not is_progression(batch.raw, batch.modulus)
+    # uint64 differences wrap mod 2^64, so rotation_counts would measure
+    # 0 -> 800 as 800, not 224, on this 2^10 grid: only 2^64 and object raw pass
+    assert not is_progression(np.array([0, 400, 800], dtype=np.uint64), 1 << 10)
+
+
+def test_file_read_rotation_orbits_are_progressions():
+    import io
+    from circlecorr.cli import read_points_binary, read_points_csv, write_points_csv
+    orbit = kronecker_orbit(0x9e3779b97f4a7c15, 20)
+    buf = io.StringIO()
+    write_points_csv(orbit, buf)
+    buf.seek(0)
+    from_csv = read_points_csv(buf, 64)
+    data = b"".join(int(v).to_bytes(8, "little") for v in orbit.raw)
+    from_bin = read_points_binary(io.BytesIO(data), 64)
+    for batch in (from_csv, from_bin):
+        assert list(batch.raw) == list(orbit.raw)
+        assert is_progression(batch.raw, batch.modulus)
+        _same_as_window_path(batch, 1, 0.5)

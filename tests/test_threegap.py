@@ -36,6 +36,26 @@ def test_census_golden_five_points():
     assert census.total_length() == M64
 
 
+def _census_by_loop(points):
+    vals = sorted(int(v) for v in points.raw)
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    gaps.append((vals[0] - vals[-1]) % points.modulus)
+    return sorted((g, gaps.count(g)) for g in set(gaps))
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_census_matches_loop_reference(precision):
+    m = 1 << precision
+    # the wrap-around gap and an inner gap both exceed 2^63 (at P = 64)
+    wide = FixedBatch(precision, [5, 5, m // 2 + 7, m - 3])
+    for batch in (wide, kronecker_orbit("7/19", 100, precision=precision),
+                  kronecker_orbit("golden", 1000, precision=precision)):
+        census = gap_census(batch)
+        assert census.entries == _census_by_loop(batch)
+        assert all(type(g) is int and type(c) is int for g, c in census.entries)
+        assert census.total_length() == m
+
+
 def test_census_merge_ulps():
     pts = FixedBatch(64, np.array([0, 10, 21], dtype=np.uint64))
     merged = gap_census(pts, merge_ulps=1)
