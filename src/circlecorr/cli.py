@@ -9,9 +9,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from . import cf as cfmod
 from .paircorr import f_stat_profile
@@ -22,6 +25,10 @@ from .verify import SUITES, run_suite
 
 DEFAULT_MAX_POINTS = 1 << 27
 _SIG_DIGITS = 20
+_WORK = Context(prec=60)  # working precision of format_point and parse_point
+_SHOWN = Context(prec=_SIG_DIGITS)
+_MASK64 = (1 << 64) - 1
+_IO_BLOCK = 1 << 12  # points converted at once, which bounds the temporaries
 
 
 class UsageError(Exception):
@@ -31,35 +38,40 @@ class UsageError(Exception):
 # --- point serialization -----------------------------------------------------
 
 
+@functools.cache
+def _grid(precision: int) -> Decimal:
+    return Decimal(1 << precision)
+
+
 def format_point(raw: int, precision: int) -> str:
     """Decimal value of raw/2^precision at 20 significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        exact = Decimal(raw) / Decimal(1 << precision)
-        ctx.prec = _SIG_DIGITS
-        return str(+exact)
+    return str(_SHOWN.plus(_WORK.divide(Decimal(raw), _grid(precision))))
 
 
 def parse_point(text: str, precision: int) -> int:
     """Invert format_point: nearest grid value (exact for P=64 at 20 digits)."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        scaled = Decimal(text) * Decimal(1 << precision)
-        return int(scaled.to_integral_value(rounding="ROUND_HALF_EVEN")) % (1 << precision)
+    scaled = _WORK.multiply(Decimal(text), _grid(precision))
+    return int(scaled.to_integral_value(rounding="ROUND_HALF_EVEN",
+                                        context=_WORK)) % (1 << precision)
 
 
 def write_points_csv(batch, stream):
     raw, precision = _batch_raw_precision(batch)
     stream.write("value\n")
-    for v in raw:
-        stream.write(format_point(int(v), precision) + "\n")
+    for i in range(0, len(raw), _IO_BLOCK):
+        stream.writelines([format_point(v, precision) + "\n"
+                           for v in raw[i:i + _IO_BLOCK].tolist()])
 
 
 def write_points_binary(batch, stream):
+    """Each point as precision/8 little-endian bytes: its uint64 limbs, low limb first."""
     raw, precision = _batch_raw_precision(batch)
-    width = precision // 8
-    for v in raw:
-        stream.write(int(v).to_bytes(width, "little"))
+    for i in range(0, len(raw), _IO_BLOCK):
+        block = raw[i:i + _IO_BLOCK]
+        limbs = np.empty((len(block), precision // 64), dtype="<u8")
+        for j in range(limbs.shape[1]):
+            limbs[:, j] = block >> (64 * j) & _MASK64
+        stream.write(limbs.tobytes())
 
 
 def read_points_csv(stream, precision: int) -> FixedBatch:
@@ -80,8 +92,14 @@ def read_points_binary(stream, precision: int) -> FixedBatch:
     width = precision // 8
     if len(data) % width:
         raise UsageError(f"binary point file length is not a multiple of {width}")
-    return FixedBatch(precision, [int.from_bytes(data[i:i + width], "little")
-                                  for i in range(0, len(data), width)])
+    limbs = np.frombuffer(data, dtype="<u8").reshape(-1, precision // 64)
+    if precision == 64:
+        return FixedBatch(precision, limbs[:, 0].astype(np.uint64))
+    values = np.empty(len(limbs), dtype=object)
+    for i in range(0, len(limbs), _IO_BLOCK):
+        low, high = limbs[i:i + _IO_BLOCK].T.astype(object)
+        values[i:i + _IO_BLOCK] = high << 64 | low
+    return FixedBatch(precision, values)
 
 
 def _batch_raw_precision(batch):

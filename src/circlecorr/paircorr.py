@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
+from mpmath import iv
+from mpmath.libmp import to_int
 
 from .numutil import Threshold, threshold_from
 from .sequences import Batch, RationalBatch
@@ -22,6 +25,7 @@ _U64 = np.uint64
 _FULL64 = 1 << 64
 _BLOCK = 1 << 14  # queries per window_counts step
 _DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
+_BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 
 
 # --- naive oracle ----------------------------------------------------------
@@ -203,20 +207,68 @@ class PairCountResult:
         return self.ordered_pair_count / self.n ** (2 - self.alpha)
 
 
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """The integer r with r^k == n (n >= 1, k >= 1), or None when there is none."""
+    if k > n.bit_length():  # any r >= 2 has r^k >= 2^k > n
+        return 1 if n == 1 else None
+    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton descends to it
+    while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = y
+    return r if r ** k == n else None
+
+
+def _floor_bracket(s: Fraction, N: int, alpha: Fraction, denominator: int,
+                   bits: int) -> tuple:
+    """(floor lo, floor hi) of an interval [lo, hi] that holds s * denominator / N^alpha."""
+    saved, iv.prec = iv.prec, bits
+    try:
+        x = iv.mpf(s.numerator * denominator) / (
+            iv.mpf(s.denominator) * iv.mpf(N) ** (iv.mpf(alpha.numerator) / alpha.denominator))
+        # mpmath rounds the ends of exp and log from a few guard bits, so an
+        # end may sit an ulp inside; widening by 2^8 ulps keeps x enclosed
+        eps = mpmath.ldexp(1, 8 - bits)
+        x *= 1 + iv.mpf([-eps, eps])
+    finally:
+        iv.prec = saved
+    return tuple(to_int(end, "f") for end in x._mpi_)
+
+
 def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator: int) -> int:
-    """Largest d with d/denominator <= s/N^alpha, by exact integer comparison."""
-    an, ad = alpha.numerator, alpha.denominator
-    sn, sd = s.numerator, s.denominator
-    rhs = sn ** ad * denominator ** ad
-    n_pow = N ** an
+    """Largest d <= denominator with d/denominator <= s/N^alpha, decided exactly.
 
-    def ok(d):
-        return d ** ad * n_pow * sd ** ad <= rhs
-
-    lo, hi = 0, denominator
-    while lo < hi:  # max d in [lo, hi] with ok(d)
+    That is min(denominator, floor x) for x = s * denominator / N^alpha.  With
+    alpha = p/q in lowest terms, N^alpha is rational only when N is a perfect
+    q-th power r^q, and then x = s * denominator / r^p is floored as a
+    Fraction.  Otherwise x is irrational, so never an integer, and an
+    interval enclosure settles floor x as soon as both ends share a floor:
+    it starts at the denominator's bit length plus 64 bits and doubles.  The
+    cost grows with log2(denominator), not with q.  Should x sit so close to
+    an integer that the last doubling still straddles it, exact powers
+    (d^q N^p against (s * denominator)^q, O(q) big-integer work) decide
+    inside the bracket, so termination never rests on that distance.
+    """
+    if s <= 0:
+        raise ValueError("s must be positive")
+    p, q = alpha.numerator, alpha.denominator
+    r = _exact_root(N, q)
+    if r is not None:
+        x = s * denominator / Fraction(r) ** p
+        return min(denominator, x.numerator // x.denominator)
+    lo, hi, bits = 0, denominator, denominator.bit_length() + 64
+    for _ in range(_BRACKET_DOUBLINGS):
+        lo, hi = _floor_bracket(s, N, alpha, denominator, bits)
+        if lo >= denominator:
+            return denominator
+        if lo == hi:
+            return lo
+        bits *= 2
+    # d^q N^p <= (s * denominator)^q, with N^|p| on the side that keeps it whole
+    lhs = s.denominator ** q * N ** max(p, 0)
+    rhs = (s.numerator * denominator) ** q * N ** max(-p, 0)
+    lo, hi = max(lo, 0), min(hi, denominator)
+    while lo < hi:  # max d in [lo, hi] with d/denominator <= s/N^alpha
         mid = (lo + hi + 1) // 2
-        if ok(mid):
+        if mid ** q * lhs <= rhs:
             lo = mid
         else:
             hi = mid - 1
@@ -290,9 +342,11 @@ def rescaling_identity_check(points, s, alpha1, alpha2) -> bool:
 
     Both thresholds are the same real number; computing each through the
     shared high-precision rounding in threshold_from makes the identity
-    exact at finite N.
+    exact at finite N.  On rational batches the alpha1 route is a bisection
+    of its own over exact powers, kept independent of f_stat's threshold:
+    with q the lcm of the two alpha denominators it raises d to the q-th
+    power, so it still costs O(q) big-integer work per bisection step.
     """
-    import mpmath
     from .numutil import _MP_DPS, _as_mpf
     if not _as_mpf(alpha1) >= _as_mpf(alpha2):
         raise ValueError("need alpha1 >= alpha2")

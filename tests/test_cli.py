@@ -2,13 +2,15 @@ import hashlib
 import io
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from circlecorr.cli import (format_point, main, parse_point, read_points_csv,
-                            write_points_csv)
-from circlecorr.sequences import iid_uniform
+from circlecorr.cli import (format_point, main, parse_point, read_points_binary,
+                            read_points_csv, write_points_binary, write_points_csv)
+from circlecorr.paircorr import pair_count_naive
+from circlecorr.sequences import FixedBatch, SequenceSpec, generate, iid_uniform
 
 
 def run_cli(args, capsys):
@@ -29,6 +31,22 @@ def test_points_csv_round_trip():
     buf.seek(0)
     back = read_points_csv(buf, 64)
     assert [int(v) for v in back.raw] == [int(v) for v in batch.raw]
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_points_binary_layout_and_round_trip(precision):
+    # each point is precision/8 little-endian bytes, low limb first
+    top = 1 << precision
+    vals = [0, 1, top - 1, top // 2, (1 << 64) - 1, 1 << 63] + \
+        [int(v) for v in iid_uniform(500, seed=3, precision=precision).raw]
+    vals = [v % top for v in vals]
+    buf = io.BytesIO()
+    write_points_binary(FixedBatch(precision, vals), buf)
+    width = precision // 8
+    assert buf.getvalue() == b"".join(v.to_bytes(width, "little") for v in vals)
+    back = read_points_binary(io.BytesIO(buf.getvalue()), precision)
+    assert [int(v) for v in back.raw] == vals
+    assert len(read_points_binary(io.BytesIO(b""), precision)) == 0
 
 
 def test_gen_vdc_grid(capsys):
@@ -82,6 +100,32 @@ def test_fstat_vdc_bound(capsys):
                             "--alpha", "0.5", "--s", "1"], capsys)
     f_value = float(out.strip().splitlines()[1].split(",")[7])
     assert 2 - 2 / 32 <= f_value <= 2
+
+
+def test_fstat_vdc_float_alpha_is_fast(capsys):
+    # the float 0.3333333333333333 is read as 3333333333333333/10^16, so the
+    # exact threshold may not cost O(alpha's denominator)
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fstat", "--seq", "vdc", "--base", "10", "--n", "10000",
+                            "--alpha", "0.3333333333333333"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1].split(",")[6] == "9280000"
+
+
+@pytest.mark.parametrize("alpha, above_third", [("0.3333333333333333", False),
+                                                ("0.33333333333333337", True)])
+def test_fstat_vdc_alpha_next_to_a_tie(alpha, above_third, capsys):
+    # at N = den = 1000, alpha = 1/3 and s = 1 the threshold 1/10 is a tie
+    # d/den, d = 100: the largest d passing the former bisection's exact test
+    # d^q N^p <= den^q.  These floats lie 3e-17 below and 4e-17 above 1/3, so
+    # 1000^(1 - alpha) is just above 100, or just below it: d = 100, or 99
+    d = max(d for d in range(1001) if d ** 3 * 1000 <= 1000 ** 3) - above_third
+    code, out, _ = run_cli(["fstat", "--seq", "vdc", "--base", "10", "--n", "1000",
+                            "--alpha", alpha], capsys)
+    assert code == 0
+    count = int(out.splitlines()[1].split(",")[6])
+    assert count == pair_count_naive(generate(SequenceSpec("vdc", base=10), 1000), d)
 
 
 def test_gaps_csv(capsys):

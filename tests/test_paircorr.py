@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -173,6 +175,151 @@ def test_rescaling_identity_fixed(seed, n):
 def test_rescaling_identity_exact_mode():
     batch = generate(SequenceSpec("vdc", base=5), 625)
     assert rescaling_identity_check(batch, Fraction(3, 2), Fraction(3, 4), Fraction(1, 4))
+
+
+# --- the exact rational threshold ------------------------------------------
+
+
+def bisect_threshold_numerator(s, N, alpha, denominator):
+    """Oracle: bisection on d^q N^p sd^q <= sn^q den^q for alpha = p/q >= 0.
+
+    The exact-threshold routine f_stat used before the interval bracket; its
+    cost grows with q, so it serves only small alpha denominators here.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    rhs = s.numerator ** q * denominator ** q
+    lhs = N ** p * s.denominator ** q
+    lo, hi = 0, denominator
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** q * lhs <= rhs:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@st.composite
+def threshold_cases(draw):
+    # moduli b^k, alpha denominators up to 12, N both perfect powers of the
+    # base (where ties s * den / N^alpha in Z occur) and arbitrary, and s
+    # large enough that x = s * den / N^alpha passes the denominator
+    base = draw(st.sampled_from([2, 3, 10]))
+    denominator = base ** draw(st.integers(1, 14))
+    N = draw(st.one_of(st.integers(1, 10 ** 6),
+                       st.builds(pow, st.just(base), st.integers(0, 14))))
+    q = draw(st.integers(1, 12))
+    alpha = Fraction(draw(st.integers(0, q)), q)
+    s = Fraction(draw(st.integers(1, 10 ** 7)), draw(st.integers(1, 1000)))
+    return s, N, alpha, denominator
+
+
+@settings(max_examples=400)
+@given(threshold_cases())
+def test_exact_threshold_matches_bisection(case):
+    assert paircorr._exact_threshold_numerator(*case) == bisect_threshold_numerator(*case)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 10])
+def test_exact_threshold_on_thm6_ties(base):
+    # N = b^k with alpha in {1/4, 1/2, 3/4}: whenever 4 | k, N^(1 - alpha) is
+    # an integer, so at den = N the threshold s N^(1 - alpha) is rational and,
+    # for s in {1, 2}, a tie d/den = s/N^alpha
+    for k in range(1, 13):
+        N = base ** k
+        for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            for s in (Fraction(1, 2), Fraction(1), Fraction(2)):
+                d = paircorr._exact_threshold_numerator(s, N, alpha, N)
+                assert d == bisect_threshold_numerator(s, N, alpha, N)
+                if k % 4 == 0:
+                    x = s * base ** int(k * (1 - alpha))
+                    assert d == min(N, x.numerator // x.denominator)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1)])
+def test_exact_threshold_at_alpha_zero_and_one(alpha):
+    for N in (1, 2, 7, 1000, 3 ** 10):
+        for den in (2, 3 ** 7, 10 ** 9):
+            for s in (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(10 ** 12)):
+                expect = min(den, int(s * den / N ** alpha))
+                assert paircorr._exact_threshold_numerator(s, N, alpha, den) == expect
+                assert bisect_threshold_numerator(s, N, alpha, den) == expect
+
+
+def test_exact_threshold_refines_near_an_integer():
+    # 1000^(1 - alpha) is 100 at alpha = 1/3; 10^-30 away from 1/3 it lies
+    # about 7e-28 from 100, inside the first interval (74 bits at den = 1000),
+    # so the precision must double once before the floor is settled
+    third, tiny = Fraction(1, 3), Fraction(1, 10 ** 30)
+    for alpha, expect in ((third - tiny, 100), (third + tiny, 99)):
+        with mock.patch.object(paircorr, "_floor_bracket",
+                               wraps=paircorr._floor_bracket) as spy:
+            assert paircorr._exact_threshold_numerator(Fraction(1), 1000, alpha, 1000) == expect
+        assert spy.call_count == 2
+
+
+def test_exact_threshold_decided_by_exact_powers():
+    # when no interval settles floor x, exact powers decide inside the last
+    # bracket: here each bracket is widened by 5 on both sides, and one
+    # precision is tried, or none (then the range is all of [0, den])
+    real = paircorr._floor_bracket
+
+    def wide(*args):
+        lo, hi = real(*args)
+        return lo - 5, hi + 5
+
+    rng = random.Random(11)
+    cases = []
+    for _ in range(200):
+        q = rng.randint(1, 9)
+        cases.append((Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 50)),
+                      rng.randint(1, 10 ** 5), Fraction(rng.randint(0, q), q),
+                      rng.choice([2, 3, 10]) ** rng.randint(1, 12)))
+    cases.append((Fraction(142, 100), 2, Fraction(1, 2), 1000))  # x = 1004.1 > den
+    # negative alpha: N^|p| moves to the other side of the comparison; with
+    # x = 3^40 sqrt(2) / 10 near 1.7e18, a float there would miss the floor
+    neg = (Fraction(1, 10), 2, Fraction(-1, 2), 3 ** 40)
+    neg_floor = math.isqrt(2 * 3 ** 80 // 100)
+    assert paircorr._exact_threshold_numerator(*neg) == neg_floor
+    for doublings in (0, 1):
+        with mock.patch.object(paircorr, "_BRACKET_DOUBLINGS", doublings), \
+                mock.patch.object(paircorr, "_floor_bracket", wide):
+            for case in cases:
+                assert paircorr._exact_threshold_numerator(*case) == \
+                    bisect_threshold_numerator(*case)
+            assert paircorr._exact_threshold_numerator(*neg) == neg_floor
+
+
+def test_exact_threshold_rejects_nonpositive_s():
+    for s in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            paircorr._exact_threshold_numerator(s, 10, Fraction(1, 2), 100)
+
+
+def test_exact_root():
+    for k in range(1, 70):
+        for r in (1, 2, 3, 10, 12345):
+            n = r ** k
+            assert paircorr._exact_root(n, k) == r
+            if k > 1:
+                assert paircorr._exact_root(n + 1, k) is None
+                if r > 1:
+                    assert paircorr._exact_root(n - 1, k) is None
+    assert paircorr._exact_root(10 ** 4, 10 ** 16) is None
+    assert paircorr._exact_root(1, 10 ** 16) == 1
+
+
+def test_f_stat_float_alpha_on_vdc_is_fast():
+    # 1/3 as a float is 3333333333333333/10^16: the alpha denominator is 10^16
+    batch = generate(SequenceSpec("vdc", base=10), 10 ** 4)
+    start = time.perf_counter()
+    res = f_stat(batch, 1, 1 / 3)
+    assert time.perf_counter() - start < 1.0
+    # x = 10^(4 (1 - alpha)) lies 1.4e-13 from its value at alpha = 1/3,
+    # 464.159..., far from any integer, so both alphas share its floor
+    d = bisect_threshold_numerator(Fraction(1), 10 ** 4, Fraction(1, 3), 10 ** 4)
+    assert d == 464
+    assert res.ordered_pair_count == pair_count_fast(batch, d)
 
 
 # --- rotation batches: the difference sum against the window kernel ---------
