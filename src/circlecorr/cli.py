@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from decimal import Context, Decimal
@@ -44,13 +45,20 @@ def _grid(precision: int) -> Decimal:
 
 
 def format_point(raw: int, precision: int) -> str:
-    """Decimal value of raw/2^precision at 20 significant digits."""
-    return str(_SHOWN.plus(_WORK.divide(Decimal(raw), _grid(precision))))
+    """Decimal value of raw/2^precision at 20 significant digits; 1 (P = 128) is written 0."""
+    shown = _SHOWN.plus(_WORK.divide(Decimal(raw), _grid(precision)))
+    return "0" if shown == 1 else str(shown)  # the same point, and parse_point accepts it
 
 
 def parse_point(text: str, precision: int) -> int:
-    """Invert format_point: nearest grid value (exact for P=64 at 20 digits)."""
-    scaled = _WORK.multiply(Decimal(text), _grid(precision))
+    """Invert format_point: nearest grid value (exact for P=64 at 20 digits).
+
+    A value outside [0, 1) is a ValueError; one that rounds up to 2^P maps to 0.
+    """
+    value = Decimal(text)
+    if not 0 <= value < 1:
+        raise ValueError(f"{text!r} is outside [0, 1)")
+    scaled = _WORK.multiply(value, _grid(precision))
     return int(scaled.to_integral_value(rounding="ROUND_HALF_EVEN",
                                         context=_WORK)) % (1 << precision)
 
@@ -82,8 +90,10 @@ def read_points_csv(stream, precision: int) -> FixedBatch:
             continue
         try:
             values.append(parse_point(line, precision))
-        except (ArithmeticError, ValueError):  # decimal.InvalidOperation, NaN, Infinity
+        except ArithmeticError:  # decimal.InvalidOperation: not a number, or NaN
             raise UsageError(f"line {i + 1}: {line!r} is not a point value") from None
+        except ValueError as exc:  # a number outside [0, 1), Infinity among them
+            raise UsageError(f"line {i + 1}: {exc}") from None
     return FixedBatch(precision, values)
 
 
@@ -164,10 +174,13 @@ def _check_cap(n, cap):
         raise UsageError(f"{n} points exceeds the cap {cap}; raise --max-points")
 
 
+@contextlib.contextmanager
 def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return sys.stdout
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", newline="") as stream:
+        yield stream
 
 
 def _parse_list(text, conv=float):
@@ -187,12 +200,8 @@ def cmd_gen(args):
         with open(path, "wb") as stream:
             write_points_binary(batch, stream)
         return 0
-    stream = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         write_points_csv(batch, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -219,8 +228,7 @@ def cmd_fstat(args):
         batch = generate(spec, n_list[-1])
         label, params = spec.kind, _spec_label(spec)
     results = f_stat_profile(batch, n_list, alphas, svals, guard_ulps=args.guard_band)
-    stream = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("sequence,params,N,alpha,s,threshold,count,F,"
                          "abs_err_vs_2s,ambiguous\n")
@@ -234,9 +242,6 @@ def cmd_fstat(args):
                 stream.write(f"N={r.n} alpha={r.alpha} s={r.s}: "
                              f"count={r.ordered_pair_count} F={r.f_value:.6f} "
                              f"ambiguous={r.ambiguous_pairs}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -246,8 +251,7 @@ def cmd_gaps(args):
     orbit = kronecker_orbit(z, args.n, precision=args.precision)
     census = gap_census(orbit)
     pred = predict_gaps(z, args.n, precision=args.precision)
-    stream = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("length_decimal,length_raw_units,multiplicity\n")
             for length, mult in census.entries:
@@ -262,9 +266,6 @@ def cmd_gaps(args):
                              f"({length} raw) x {mult}\n")
             stream.write(f"predicted L1={pred.l1} L2={pred.l2} L3={pred.l3} "
                          f"(k={pred.k}, m={pred.m}, r={pred.r})\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -275,8 +276,7 @@ def cmd_cf(args):
         value = Fraction(args.value) if "/" in args.value or "." in args.value \
             else Fraction(int(args.value))
         cf = cfmod.cf_expand(value, max_terms=args.terms)
-    stream = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("i,a_i,p_i,q_i\n")
             for i, (a, (p, q)) in enumerate(zip(cf.quotients, cf.convergents())):
@@ -285,9 +285,6 @@ def cmd_cf(args):
             stream.write(str(cf) + ("\n" if cf.exact else "  (truncated)\n"))
             for i, (p, q) in enumerate(cf.convergents()):
                 stream.write(f"  p_{i}/q_{i} = {p}/{q}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -297,8 +294,7 @@ def cmd_ostrowski(args):
     else:
         cf = cfmod.cf_expand(Fraction(args.z), max_terms=128)
         rep = cfmod.ostrowski(args.n, cf)
-    stream = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("index,digit,weight\n")
             for j in range(len(rep.coeffs)):
@@ -307,20 +303,17 @@ def cmd_ostrowski(args):
             terms = " + ".join(f"{b}*{rep.weights[rep.indices.index(i)]}"
                                for i, b in rep.nonzero())
             stream.write(f"{args.n} = {terms}  (digits {rep})\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
 def cmd_verify(args):
     failures = 0
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        report = run_suite(name)
-        print("\n".join(report.lines()))
-        if not report.passed:
-            failures += 1
+    with _open_out(args) as stream:
+        for name in names:
+            report = run_suite(name)
+            stream.write("\n".join(report.lines()) + "\n")
+            failures += not report.passed
     return 1 if failures else 0
 
 

@@ -3,8 +3,8 @@
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
 batch's sorted raw values, except rotation batches, which f_stat counts
-by the difference sum; the naive path is a full distance matrix kept as
-an independent oracle.
+by the difference sum; the naive path tests every pair, in strips of the
+distance matrix, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ _U64 = np.uint64
 _FULL64 = 1 << 64
 _BLOCK = 1 << 14  # queries per window_counts step
 _DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
+_STRIP_CELLS = 1 << 16  # distance cells per pair_count_naive strip
 _BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 
 
@@ -35,8 +36,14 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     """O(N^2) ordered count of pairs with circle distance <= threshold.
 
     ``points`` is a batch or a plain sequence of raw integers in
-    [0, modulus) (then ``modulus`` is required).  Kept deliberately
-    independent of the window kernel.
+    [0, modulus) (then ``modulus`` is required).  One formula serves every
+    modulus: |x - y| = max(x, y) - min(x, y) never wraps, on uint64 up to
+    2^64 and on object arrays above, and a pair is close iff |x - y| <= t,
+    or t > 0 and |x - y| >= modulus - t.  Strips of rows are tested against
+    the columns from the strip's start on and only pairs j > i count, so a
+    strip holds about _STRIP_CELLS cells and memory stays O(N) beyond
+    N = _STRIP_CELLS.  Kept deliberately independent of the window kernel:
+    no sort and no search.
     """
     if modulus is None:
         raw, modulus = points.raw, points.modulus
@@ -45,30 +52,23 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     n = len(raw)
     if n < 2:
         return 0
-    if 2 * threshold_raw >= modulus:
+    t = threshold_raw
+    if 2 * t >= modulus:
         return n * (n - 1)
-    if modulus <= 1 << 63 or modulus == _FULL64:
-        a = np.asarray(raw, dtype=np.uint64)
-        if modulus < _FULL64:
-            # lift before subtracting: a uint64 wrap mod 2^64 would not
-            # reduce correctly mod a modulus that does not divide 2^64
-            d = (a[:, None] + _U64(modulus) - a[None, :]) % _U64(modulus)
-            circ = np.minimum(d, _U64(modulus) - d)
-            circ[np.diag_indices(n)] = 0
-        else:
-            d = a[:, None] - a[None, :]  # wraps exactly mod 2^64
-            circ = np.minimum(d, _U64(0) - d)
-        return int((circ <= _U64(threshold_raw)).sum()) - n
-    vals = [int(v) % modulus for v in raw]
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = (vals[i] - vals[j]) % modulus
-            if min(d, modulus - d) <= threshold_raw:
-                count += 1
-    return count
+    a = np.asarray(raw, dtype=object if modulus > _FULL64 else np.uint64)
+    rows = max(1, _STRIP_CELLS // n)
+    upper = 0
+    for start in range(0, n, rows):
+        x, y = a[start:start + rows, None], a[None, start:]
+        dist = np.maximum(x, y)
+        dist -= np.minimum(x, y)
+        close = dist <= t
+        if t:  # modulus - t fits in uint64 once t >= 1
+            close |= dist >= modulus - t
+        # j > i: the strict upper triangle of the leading square, then every later column
+        h = len(x)
+        upper += np.count_nonzero(np.triu(close[:, :h], 1)) + np.count_nonzero(close[:, h:])
+    return 2 * upper
 
 
 # --- the window kernel -----------------------------------------------------

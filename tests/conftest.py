@@ -1,6 +1,15 @@
-"""Repeat the acceptance criterion lines after the captured test output."""
+"""Repeat the acceptance criterion lines after the captured test output.
 
+Also put src on PYTHONPATH, as pyproject.toml puts it on pytest's own path,
+so that tests running `python -m circlecorr.cli` work without an install.
+"""
+
+import os
 import sys
+from pathlib import Path
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter):

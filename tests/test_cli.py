@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from circlecorr import cli
 from circlecorr.cli import (format_point, main, parse_point, read_points_binary,
                             read_points_csv, write_points_binary, write_points_csv)
 from circlecorr.paircorr import pair_count_naive
 from circlecorr.sequences import FixedBatch, SequenceSpec, generate, iid_uniform
+from circlecorr.verify import VerificationReport
 
 
 def run_cli(args, capsys):
@@ -153,6 +155,19 @@ def test_verify_suite_exit_codes(capsys):
     assert "suite lemma12: PASS" in out
 
 
+def test_verify_writes_its_report_to_out(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "report.txt"
+    code, out, _ = run_cli(["verify", "lemma12", "--out", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text().startswith("suite lemma12: PASS")
+    failed = VerificationReport("lemma12")
+    failed.add("a check that fails", "1", "0", "exact", False)
+    monkeypatch.setattr(cli, "run_suite", lambda name: failed)
+    code, out, _ = run_cli(["verify", "lemma12", "--out", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert path.read_text().startswith("suite lemma12: FAIL")
+
+
 def test_cap_enforced(capsys):
     code, _, err = run_cli(["gen", "--seq", "iid", "--n", "100",
                             "--max-points", "10"], capsys)
@@ -170,6 +185,32 @@ def test_malformed_points_csv_is_usage_error(bad, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "line 3" in proc.stderr and bad in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["1.25", "-0.5", "1"])
+def test_points_outside_the_circle_are_usage_errors(bad, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"value\n0.25\n{bad}\n0.5\n")
+    proc = subprocess.run([sys.executable, "-m", "circlecorr.cli", "fstat",
+                           "--points", str(path), "--n", "3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 3" in proc.stderr and bad in proc.stderr
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_points_that_round_up_to_one_are_zero(precision):
+    assert parse_point("0." + "9" * 60, precision) == 0
+    assert parse_point("-0", precision) == 0
+    # the top grid value is 1 - 2^-P: at P = 128 it rounds to 1 at 20
+    # digits and is written as 0, the same point of the circle
+    top = (1 << precision) - 1
+    buf = io.StringIO()
+    write_points_csv(FixedBatch(precision, [top]), buf)
+    assert (buf.getvalue() == "value\n0\n") == (precision == 128)
+    buf.seek(0)
+    assert int(read_points_csv(buf, precision).raw[0]) == (top if precision == 64 else 0)
 
 
 def test_unknown_suite_is_usage_error():

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -38,13 +40,15 @@ def test_fast_equals_naive_equals_reference(vals, t):
     assert pair_count_fast(batch, t) == ref
 
 
+MODULI = [7, 1000, 3 ** 40, 2 ** 63 + 12345, 2 ** 64 - 1, 2 ** 64, 2 ** 128]
+
+
 @st.composite
 def modulus_cases(draw):
     # uint64 moduli on both sides of 2^63, the full 2^64 grid and an
     # object-array modulus; repeated values, and thresholds at both ends,
     # up to the degenerate t = modulus // 2 where every ordered pair counts
-    modulus = draw(st.sampled_from(
-        [7, 1000, 3 ** 40, 2 ** 63 + 12345, 2 ** 64 - 1, 2 ** 64, 2 ** 128]))
+    modulus = draw(st.sampled_from(MODULI))
     pool = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=20))
     vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
     t = draw(st.one_of(st.just(0), st.just((modulus - 1) // 2),
@@ -59,6 +63,46 @@ def test_counting_on_odd_modulus(case):
     ref = reference_count(vals, t, modulus)
     assert pair_count_naive(vals, t, modulus=modulus) == ref
     assert pair_count_fast(vals, t, modulus=modulus) == ref
+
+
+@st.composite
+def strip_cases(draw):
+    # up to 60 values from a small pool, strips of 1 to 4 rows
+    modulus = draw(st.sampled_from(MODULI + [2, 2 ** 63]))
+    pool = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=20))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60))
+    t = draw(st.one_of(st.sampled_from([0, 1, (modulus - 1) // 2, modulus // 2]),
+                       st.integers(0, modulus // 2)))
+    return vals, t, modulus, draw(st.integers(1, 4))
+
+
+@given(strip_cases())
+def test_naive_strip_boundaries(case):
+    vals, t, modulus, rows = case
+    with mock.patch.object(paircorr, "_STRIP_CELLS", rows * len(vals)):
+        assert pair_count_naive(vals, t, modulus=modulus) == reference_count(vals, t, modulus)
+
+
+def test_naive_strips_at_the_real_size():
+    # full strips, then a last strip of one row
+    cells = paircorr._STRIP_CELLS
+    n = next(n for n in itertools.count(2) if n // (cells // n) >= 3 and n % (cells // n) == 1)
+    core = iid_uniform(n - n // 2, seed=8).raw  # its first n // 2 points appear twice
+    batch = FixedBatch(64, np.concatenate([core, core[:n // 2]]))
+    assert len(batch) == n
+    for t in (0, 1, M64 // n, M64 // 20, M64 // 2 - 1):
+        assert pair_count_naive(batch, t) == pair_count_fast(batch, t)
+
+
+def test_naive_memory_is_bounded_by_the_strips():
+    batch = iid_uniform(4000, seed=12)
+    tracemalloc.start()
+    try:
+        pair_count_naive(batch, M64 // 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20  # one N x N uint64 matrix is 128 MB
 
 
 @given(raw_lists, st.integers(min_value=0, max_value=M64 // 2 - 1))
