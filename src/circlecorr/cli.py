@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
+import math
 import sys
-from decimal import Context, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,8 @@ DEFAULT_MAX_POINTS = 1 << 27
 _SIG_DIGITS = 20
 _WORK = Context(prec=60)  # working precision of format_point and parse_point
 _SHOWN = Context(prec=_SIG_DIGITS)
-_MASK64 = (1 << 64) - 1
+_GRID = {precision: Decimal(1 << precision) for precision in (64, 128)}
+_ZERO, _ONE = Decimal(0), Decimal(1)
 _IO_BLOCK = 1 << 12  # points converted at once, which bounds the temporaries
 
 
@@ -39,14 +40,9 @@ class UsageError(Exception):
 # --- point serialization -----------------------------------------------------
 
 
-@functools.cache
-def _grid(precision: int) -> Decimal:
-    return Decimal(1 << precision)
-
-
 def format_point(raw: int, precision: int) -> str:
     """Decimal value of raw/2^precision at 20 significant digits; 1 (P = 128) is written 0."""
-    shown = _SHOWN.plus(_WORK.divide(Decimal(raw), _grid(precision)))
+    shown = _SHOWN.plus(_WORK.divide(Decimal(raw), _GRID[precision]))
     return "0" if shown == 1 else str(shown)  # the same point, and parse_point accepts it
 
 
@@ -56,30 +52,27 @@ def parse_point(text: str, precision: int) -> int:
     A value outside [0, 1) is a ValueError; one that rounds up to 2^P maps to 0.
     """
     value = Decimal(text)
-    if not 0 <= value < 1:
+    if not _ZERO <= value < _ONE:
         raise ValueError(f"{text!r} is outside [0, 1)")
-    scaled = _WORK.multiply(value, _grid(precision))
-    return int(scaled.to_integral_value(rounding="ROUND_HALF_EVEN",
-                                        context=_WORK)) % (1 << precision)
+    raw = int(_WORK.multiply(value, _GRID[precision]).to_integral_value(ROUND_HALF_EVEN, _WORK))
+    return 0 if raw >> precision else raw  # only 2^P itself reaches past the grid
 
 
 def write_points_csv(batch, stream):
-    raw, precision = _batch_raw_precision(batch)
+    batch = _fixed(batch)
     stream.write("value\n")
-    for i in range(0, len(raw), _IO_BLOCK):
-        stream.writelines([format_point(v, precision) + "\n"
-                           for v in raw[i:i + _IO_BLOCK].tolist()])
+    for i in range(0, len(batch), _IO_BLOCK):
+        stream.writelines([format_point(v, batch.precision) + "\n"
+                           for v in batch.raw[i:i + _IO_BLOCK].tolist()])
 
 
 def write_points_binary(batch, stream):
     """Each point as precision/8 little-endian bytes: its uint64 limbs, low limb first."""
-    raw, precision = _batch_raw_precision(batch)
-    for i in range(0, len(raw), _IO_BLOCK):
-        block = raw[i:i + _IO_BLOCK]
-        limbs = np.empty((len(block), precision // 64), dtype="<u8")
-        for j in range(limbs.shape[1]):
-            limbs[:, j] = block >> (64 * j) & _MASK64
-        stream.write(limbs.tobytes())
+    batch = _fixed(batch)
+    limbs = (batch.raw,) if batch.precision == 64 else batch.split()[::-1]
+    for i in range(0, len(batch), _IO_BLOCK):
+        block = np.column_stack([limb[i:i + _IO_BLOCK] for limb in limbs])
+        stream.write(block.astype("<u8", copy=False).tobytes())
 
 
 def read_points_csv(stream, precision: int) -> FixedBatch:
@@ -102,29 +95,28 @@ def read_points_binary(stream, precision: int) -> FixedBatch:
     width = precision // 8
     if len(data) % width:
         raise UsageError(f"binary point file length is not a multiple of {width}")
-    limbs = np.frombuffer(data, dtype="<u8").reshape(-1, precision // 64)
-    if precision == 64:
-        return FixedBatch(precision, limbs[:, 0].astype(np.uint64))
-    values = np.empty(len(limbs), dtype=object)
-    for i in range(0, len(limbs), _IO_BLOCK):
-        low, high = limbs[i:i + _IO_BLOCK].T.astype(object)
-        values[i:i + _IO_BLOCK] = high << 64 | low
-    return FixedBatch(precision, values)
+    return FixedBatch.from_limbs(precision, np.frombuffer(data, dtype="<u8")
+                                 .reshape(-1, precision // 64))
 
 
-def _batch_raw_precision(batch):
-    if isinstance(batch, RationalBatch):
-        batch = batch.to_fixed()
-    return batch.raw, batch.precision
+def _fixed(batch):
+    return batch.to_fixed() if isinstance(batch, RationalBatch) else batch
 
 
 # --- argument plumbing -------------------------------------------------------
 
 
+def _nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _common_flags(parser):
     parser.add_argument("--precision", type=int, choices=(64, 128), default=64,
                         help="fixed-point bits per coordinate (default 64)")
-    parser.add_argument("--guard-band", type=int, default=4, metavar="G",
+    parser.add_argument("--guard-band", type=_nonnegative, default=4, metavar="G",
                         help="ulps around the threshold tallied as ambiguous")
     parser.add_argument("--out", metavar="PATH",
                         help="output path (default stdout)")
@@ -211,6 +203,8 @@ def cmd_fstat(args):
     n_list = sorted(_parse_list(args.n, int))
     if not (alphas and svals and n_list):
         raise UsageError("need non-empty --n, --alpha and --s lists")
+    if not all(map(math.isfinite, alphas + svals)):
+        raise UsageError("--alpha and --s values must be finite")
     _check_cap(n_list[-1], args.max_points)
     if args.points:
         mode = "rb" if args.points_format == "binary" else "r"

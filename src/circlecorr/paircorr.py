@@ -2,13 +2,18 @@
 
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
-batch's sorted raw values, except rotation batches, which f_stat counts
-by the difference sum; the naive path tests every pair, in strips of the
-distance matrix, as an independent oracle.
+batch's sorted values, except rotation batches, which f_stat counts by the
+difference sum.  On the 2^128 grid the kernel searches uint64 limbs: the
+high limb places each window end, and the low limb settles it only inside
+a run of equal high limbs.  f_stat counts a fixed-point cell in one kernel
+pass and finds the guard band from the points next to each window end.
+The naive path tests every pair, in strips of the distance matrix, as an
+independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,11 +24,13 @@ from mpmath import iv
 from mpmath.libmp import to_int
 
 from .numutil import Threshold, threshold_from
-from .sequences import Batch, RationalBatch
+from .sequences import Batch, RationalBatch, split_limbs
 
 _U64 = np.uint64
 _FULL64 = 1 << 64
-_BLOCK = 1 << 14  # queries per window_counts step
+_FULL128 = 1 << 128
+_MASK64 = _FULL64 - 1
+_BLOCK = 1 << 13  # queries per window-kernel step, which bounds its temporaries
 _DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
 _STRIP_CELLS = 1 << 16  # distance cells per pair_count_naive strip
 _BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
@@ -72,36 +79,152 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
 
 
 # --- the window kernel -----------------------------------------------------
+#
+# The kernel searches sorted keys.  A key is a pair (high, low): on every
+# modulus but 2^128, high is the raw array (uint64 up to 2^64, Python ints
+# above) and low is None; on the 2^128 grid, high and low are the uint64
+# limbs of x = high * 2^64 + low, so that grid never needs Python ints.
+
+
+def _keys(values, modulus: int) -> tuple:
+    """Search keys of raw values in [0, modulus)."""
+    return split_limbs(values) if modulus == _FULL128 else (values, None)
+
+
+def _take(x: tuple, index) -> tuple:
+    high, low = x
+    return high[index], None if low is None else low[index]
+
+
+def _shift(x: tuple, c: int, modulus: int) -> tuple:
+    """x + c mod modulus, for keys x and an integer c with |c| < modulus / 2."""
+    high, low = x
+    if low is not None:  # the limbs wrap mod 2^128 on their own
+        c %= modulus
+        total = low + _U64(c & _MASK64)
+        return high + _U64(c >> 64) + (total < low), total
+    # a value that would pass 0 or the modulus is recomputed from the
+    # complementary offset, which fits uint64 on every modulus up to 2^64
+    d, top = abs(c), modulus - 1 - abs(c)
+    if c > 0:
+        wraps, y = high > top, high + d
+        y[wraps] = high[wraps] - top - 1
+    else:
+        wraps, y = high < d, high - d
+        y[wraps] = high[wraps] + top + 1
+    return y, None
+
+
+def _below(x: tuple, c: int) -> np.ndarray:
+    """x < c elementwise, for keys x and an integer c >= 0."""
+    high, low = x
+    if low is None:
+        return high < c
+    return (high < c >> 64) | ((high == c >> 64) & (low < c & _MASK64))
+
+
+def _search(a: tuple, key: tuple, side: str) -> np.ndarray:
+    """Insertion points of the keys in the sorted keys a, comparing whole values."""
+    high, low = a
+    if low is None:
+        return np.searchsorted(high, key[0], side)
+    # the high limb places every key up to the run of equal high limbs, and
+    # the low limb then decides inside that run, by bisection on all at once
+    pos = np.searchsorted(high, key[0])
+    run = np.flatnonzero(high[np.minimum(pos, len(high) - 1)] == key[0])
+    start, stop = pos[run], np.searchsorted(high, key[0][run], "right")
+    want = key[1][run]
+    while (unsettled := start < stop).any():
+        mid = (start + stop) // 2
+        value = low[np.minimum(mid, len(low) - 1)]
+        past = unsettled & ((value <= want) if side == "right" else (value < want))
+        start = np.where(past, mid + 1, start)
+        stop = np.where(unsettled & ~past, mid, stop)
+    pos[run] = start
+    return pos
+
+
+def _window(a: tuple, queries: tuple, t: int, modulus: int) -> tuple:
+    """(counts, left, right): the points of a within circle distance t of each query.
+
+    The window [x - t, x + t] of a query x holds the sorted points left ..
+    right - 1, read cyclically: it runs past the end of a when it wraps past
+    0 or the modulus.  A query that is itself a point of a counts itself.
+    left and right are None when 2t >= modulus and every point counts.
+    """
+    n = len(a[0])
+    if n == 0 or 2 * t >= modulus:
+        return np.full(len(queries[0]), n, dtype=np.int64), None, None
+    left = _search(a, _shift(queries, -t, modulus), "left")
+    right = _search(a, _shift(queries, t, modulus), "right")
+    counts = right - left
+    counts[_below(queries, t) | ~_below(queries, modulus - t)] += n
+    return counts, left, right
+
+
+def _counts(a: tuple, queries: tuple, t: int, modulus: int) -> np.ndarray:
+    """_window's counts for every query key, in blocks that bound the temporaries."""
+    counts = np.empty(len(queries[0]), dtype=np.int64)
+    for i in range(0, len(counts), _BLOCK):
+        counts[i:i + _BLOCK] = _window(a, _take(queries, slice(i, i + _BLOCK)), t, modulus)[0]
+    return counts
 
 
 def window_counts(a_sorted: np.ndarray, queries: np.ndarray, t: int,
                   modulus: int) -> np.ndarray:
     """For each query x, the number of values of a_sorted within circle distance t.
 
-    A query that is itself a point of a_sorted counts itself.  The window
-    [x - t, x + t] wraps past 0 when x < t and past the modulus when
-    x > modulus - 1 - t; both offsets fit in uint64 for every modulus up
-    to 2^64, so the arithmetic is exact on uint64 and on object arrays.
+    A query that is itself a point of a_sorted counts itself.  On the 2^128
+    grid the sorted Python ints are searched as uint64 limbs.
     """
-    n = len(a_sorted)
-    if 2 * t >= modulus:
-        return np.full(len(queries), n, dtype=np.int64)
-    top = modulus - 1 - t
-    counts = np.empty(len(queries), dtype=np.int64)
-    # blocks bound the temporaries, which are new Python ints on object arrays
-    for i in range(0, len(queries), _BLOCK):
-        x, block = queries[i:i + _BLOCK], counts[i:i + _BLOCK]
-        below, above = x < t, x > top
-        # the ends of a wrapped window may wrap mod 2^64 at first; they are
-        # then recomputed from the offsets above, which never do
-        edge = x + t
-        edge[above] = x[above] - top - 1
-        block[:] = np.searchsorted(a_sorted, edge, side="right")
-        np.subtract(x, t, out=edge)
-        edge[below] = x[below] + top + 1
-        block -= np.searchsorted(a_sorted, edge, side="left")
-        block[below | above] += n
-    return counts
+    return _counts(_keys(a_sorted, modulus), _keys(queries, modulus), t, modulus)
+
+
+def _minus(y: tuple, x: tuple) -> tuple:
+    """y - x on the 2^64 or 2^128 grid, where the keys wrap on their own."""
+    if y[1] is None:
+        return y[0] - x[0], None
+    return y[0] - x[0] - (y[1] < x[1]), y[1] - x[1]
+
+
+def _near_band(a: tuple, queries: tuple, left, right, t: int, g: int) -> np.ndarray:
+    """Queries with a point at circle distance within [t - g, t + g], for t > g.
+
+    Distance grows monotonically from a query to each end of its window at
+    t, so the points just inside and just outside both ends tell.  For the
+    2^64 and 2^128 grids.
+    """
+    n = len(a[0])
+    inside, outside = _take(a, (right - 1) % n), _take(a, right % n)
+    near = ~_below(_minus(inside, queries), t - g) | _below(_minus(outside, queries), t + g + 1)
+    inside, outside = _take(a, left % n), _take(a, (left - 1) % n)
+    near |= ~_below(_minus(queries, inside), t - g) | _below(_minus(queries, outside), t + g + 1)
+    return near
+
+
+def _guarded_counts(a: tuple, t: int, g: int, modulus: int) -> tuple:
+    """(ordered count at t, ambiguous pairs) of the sorted keys a of a fixed-point batch.
+
+    Ambiguous pairs lie within +-g of t: the ordered count at
+    min(t + g, modulus // 2) less that at t - g - 1.  One kernel pass at t
+    counts every query; only the queries _near_band finds are recounted at
+    the two band ends.  With t <= g, or a window over the whole circle,
+    every query is.
+    """
+    n = len(a[0])
+    top, low = min(t + g, modulus // 2), t - g - 1
+    count = ambiguous = 0
+    for i in range(0, n, _BLOCK):
+        queries = _take(a, slice(i, i + _BLOCK))
+        counts, left, right = _window(a, queries, t, modulus)
+        count += int(counts.sum())
+        if low >= 0 and left is not None:
+            queries = _take(queries, _near_band(a, queries, left, right, t, g))
+        ambiguous += int(_window(a, queries, top, modulus)[0].sum())
+        # with t <= g the band reaches distance 0: only each query's self-count is below it
+        ambiguous -= int(_window(a, queries, low, modulus)[0].sum()) if low >= 0 \
+            else len(queries[0])
+    return count - n, ambiguous
 
 
 def is_progression(raw: np.ndarray, modulus: int) -> bool:
@@ -115,8 +238,10 @@ def is_progression(raw: np.ndarray, modulus: int) -> bool:
     if raw.dtype != object and modulus != _FULL64:
         return False  # uint64 differences wrap mod 2^64, not mod this modulus
     step = None
-    for start in range(0, len(raw) - 1, _DIFF_BLOCK):
-        steps = np.diff(raw[start:start + _DIFF_BLOCK + 1])
+    # smaller blocks on object arrays bound the Python ints held at once
+    block = _BLOCK if raw.dtype == object else _DIFF_BLOCK
+    for start in range(0, len(raw) - 1, block):
+        steps = np.diff(raw[start:start + block + 1])
         if raw.dtype == object:
             steps %= modulus
         if step is None:
@@ -159,6 +284,11 @@ def sorted_raw(points):
     return points.sorted(), points.modulus
 
 
+def _sorted_keys(batch) -> tuple:
+    """The batch's sorted search keys: limbs on the 2^128 grid, else the sorted raw array."""
+    return batch.limbs() if batch.modulus == _FULL128 else (batch.sorted(), None)
+
+
 def pair_count_fast(points, threshold_raw: int, modulus: Optional[int] = None,
                     presorted=None) -> int:
     """Ordered close-pair count via the window kernel; equals the naive count.
@@ -166,12 +296,14 @@ def pair_count_fast(points, threshold_raw: int, modulus: Optional[int] = None,
     ``points`` is a batch, or raw values in [0, modulus) with an explicit
     ``modulus``; ``presorted`` passes their sorted array directly.
     """
-    if presorted is None:
-        presorted, modulus = sorted_raw(points if modulus is None else Batch(points, modulus))
-    elif modulus is None:
-        raise ValueError("presorted input requires an explicit modulus")
-    counts = window_counts(presorted, presorted, threshold_raw, modulus)
-    return int(counts.sum()) - len(presorted)
+    if presorted is not None:
+        if modulus is None:
+            raise ValueError("presorted input requires an explicit modulus")
+        a = _keys(presorted, modulus)
+    else:
+        batch = points if modulus is None else Batch(points, modulus)
+        a, modulus = _sorted_keys(batch), batch.modulus
+    return int(_counts(a, a, threshold_raw, modulus).sum()) - len(a[0])
 
 
 def per_point_counts(a_sorted: np.ndarray, threshold_raw: int, modulus: int) -> np.ndarray:
@@ -204,7 +336,14 @@ class PairCountResult:
 
     @property
     def f_value(self) -> float:
-        return self.ordered_pair_count / self.n ** (2 - self.alpha)
+        """count / N^(2 - alpha): 0.0 where that underflows, inf where it overflows."""
+        try:
+            scale = self.n ** (2 - self.alpha)
+        except OverflowError:  # N^(2 - alpha) is past the float range
+            return 0.0
+        if scale == 0:  # N^(2 - alpha) underflowed
+            return math.inf if self.ordered_pair_count else 0.0
+        return self.ordered_pair_count / scale
 
 
 def _exact_root(n: int, k: int) -> Optional[int]:
@@ -249,6 +388,14 @@ def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator
     """
     if s <= 0:
         raise ValueError("s must be positive")
+    # x below 1/2 or above twice the denominator needs no power of N: an
+    # extreme alpha would otherwise raise N to a power of any size
+    log_x = (math.log2(s.numerator) - math.log2(s.denominator) + math.log2(denominator)
+             - float(alpha) * math.log2(N))
+    if log_x < -1:
+        return 0
+    if log_x > math.log2(denominator) + 1:
+        return denominator
     p, q = alpha.numerator, alpha.denominator
     r = _exact_root(N, q)
     if r is not None:
@@ -290,11 +437,14 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
     exact threshold (no guard band); fixed-point batches use the rounded
     threshold and tally pairs within +-guard_ulps of it as ambiguous.
     Rotation batches (raw values in arithmetic progression) are counted by
-    rotation_counts, every other batch by the window kernel.
+    rotation_counts, every other fixed-point batch by one window-kernel pass
+    whose window ends show the few queries that need recounting for the band.
     """
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
+    if guard_ulps < 0:
+        raise ValueError("the guard band must be >= 0 ulps")
     if isinstance(points, RationalBatch):
         s_f, alpha_f = _to_exact(s), _to_exact(alpha)
         den = points.modulus
@@ -309,14 +459,12 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
     if thr.degenerate:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
     g, modulus = guard_ulps, points.modulus
+    if not is_progression(points.raw, modulus):
+        count, ambiguous = _guarded_counts(_sorted_keys(points), t, g, modulus)
+        return PairCountResult(n, float(alpha), float(s), thr, count, ambiguous)
     # the count at t, then the guard band's ends t + g and t - g - 1
     thresholds = [t, min(t + g, modulus // 2)] + ([t - g - 1] if t > g else [])
-    if is_progression(points.raw, modulus):
-        counts = rotation_counts(points.raw, thresholds, modulus)
-    else:
-        a, _ = sorted_raw(points)
-        counts = [pair_count_fast(a, u, modulus, presorted=a) for u in thresholds]
-    count, hi, *lo = counts
+    count, hi, *lo = rotation_counts(points.raw, thresholds, modulus)
     return PairCountResult(n, float(alpha), float(s), thr, count, hi - sum(lo))
 
 

@@ -27,6 +27,8 @@ _GOLDEN_FRAC_192 = (math.isqrt(5 << (2 * _GOLDEN_BITS)) - (1 << _GOLDEN_BITS)) /
 EXACT_DENOM_CAP = 1 << 120
 
 _U64_LIMIT = 1 << 64
+_MASK64 = _U64_LIMIT - 1
+_LIMB_BLOCK = 1 << 12  # values split or joined at once, which bounds the temporaries
 
 
 def golden_raw(precision=DEFAULT_PRECISION) -> int:
@@ -81,18 +83,37 @@ class SequenceSpec:
         _check_precision(self.precision)
 
 
+def split_limbs(values) -> tuple:
+    """(high, low) uint64 limbs of integers below 2^128: v = high * 2^64 + low."""
+    values = np.asarray(values, dtype=object)
+    high, low = np.empty(len(values), dtype=np.uint64), np.empty(len(values), dtype=np.uint64)
+    for i in range(0, len(values), _LIMB_BLOCK):
+        block = values[i:i + _LIMB_BLOCK]
+        high[i:i + _LIMB_BLOCK], low[i:i + _LIMB_BLOCK] = block >> 64, block & _MASK64
+    return high, low
+
+
+def join_limbs(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The integers high * 2^64 + low of two uint64 limb arrays, as Python ints."""
+    values = np.empty(len(high), dtype=object)
+    for i in range(0, len(high), _LIMB_BLOCK):
+        values[i:i + _LIMB_BLOCK] = (high[i:i + _LIMB_BLOCK].astype(object) << 64
+                                     | low[i:i + _LIMB_BLOCK].astype(object))
+    return values
+
+
 class Batch:
     """Raw points raw[i] / modulus with a sorted view computed once.
 
     ``raw`` is one numpy array: uint64 when the modulus is at most 2^64,
     Python ints (dtype=object) above that.  Values lie in [0, modulus) and
-    are not modified after construction, so the sorted view stays valid.
+    are not modified after construction, so the sorted views stay valid.
     """
 
     def __init__(self, raw, modulus: int):
         self.modulus = modulus
         self.raw = np.asarray(raw, dtype=np.uint64 if modulus <= _U64_LIMIT else object)
-        self._sorted = None
+        self._split = self._sorted = self._limbs = None
 
     def __len__(self):
         return len(self.raw)
@@ -102,10 +123,29 @@ class Batch:
             self._sorted = np.sort(self.raw)
         return self._sorted
 
+    def split(self) -> tuple:
+        """raw as (high, low) uint64 limbs, for values below 2^128; computed once."""
+        if self._split is None:
+            self._split = split_limbs(self.raw)
+        return self._split
+
+    def limbs(self) -> tuple:
+        """The sorted values as (high, low) uint64 limbs, for values below 2^128.
+
+        Sorted once per batch, with no sort of Python ints.
+        """
+        if self._limbs is None:
+            high, low = self.split()
+            order = np.lexsort((low, high))
+            self._limbs = high[order], low[order]
+        return self._limbs
+
     def prefix(self, n: int):
         """The first n points, as a batch of the same kind."""
         head = copy.copy(self)
-        head.raw, head._sorted = self.raw[:n], None
+        head.raw, head._sorted, head._limbs = self.raw[:n], None, None
+        if self._split is not None:
+            head._split = tuple(limb[:n] for limb in self._split)
         return head
 
 
@@ -115,6 +155,16 @@ class FixedBatch(Batch):
     def __init__(self, precision: int, raw):
         self.precision = precision
         super().__init__(raw, 1 << precision)
+
+    @classmethod
+    def from_limbs(cls, precision: int, limbs: np.ndarray):
+        """Points given as an (N, P/64) array of uint64 limbs, low limb first."""
+        if precision == 64:
+            return cls(64, limbs[:, 0])
+        low, high = limbs.T
+        batch = cls(precision, join_limbs(high, low))
+        batch._split = high, low  # already at hand, so split() need not redo it
+        return batch
 
 
 class RationalBatch(Batch):
@@ -176,8 +226,11 @@ def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatc
     """Seeded uniform draws on the 2^P grid; deterministic for a fixed seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = random.Random(seed)
-    return FixedBatch(precision, [rng.getrandbits(precision) for _ in range(count)])
+    # randbytes(k) is getrandbits(8 k) in little-endian bytes, so its uint64
+    # limbs, low limb first, are the values getrandbits(P) would draw in turn
+    data = random.Random(seed).randbytes(count * precision // 8)
+    return FixedBatch.from_limbs(precision, np.frombuffer(data, dtype="<u8")
+                                 .reshape(count, precision // 64))
 
 
 def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:

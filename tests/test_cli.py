@@ -213,6 +213,48 @@ def test_points_that_round_up_to_one_are_zero(precision):
     assert int(read_points_csv(buf, precision).raw[0]) == (top if precision == 64 else 0)
 
 
+@pytest.mark.parametrize("seq", ["kronecker", "iid", "vdc"])
+def test_fstat_extreme_alpha_gives_a_number(seq, capsys):
+    # N^(2 - alpha) underflows (no pair is that close) or overflows (every
+    # pair counts): F is 0 either way, with no traceback
+    for alpha, count in (("400", "0"), ("-400", str(1000 * 999))):
+        code, out, _ = run_cli(["fstat", "--seq", seq, "--n", "1000", f"--alpha={alpha}"], capsys)
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert (row[6], row[7]) == (count, "0")
+
+
+@pytest.mark.parametrize("flag", ["--alpha=nan", "--alpha=inf", "--alpha=0.5,-inf",
+                                  "--s=1e400", "--s=nan"])
+def test_fstat_non_finite_alpha_or_s_is_usage_error(flag, capsys):
+    code, out, err = run_cli(["fstat", "--n", "100", flag], capsys)
+    assert code == 2
+    assert "finite" in err and out == ""
+
+
+def test_negative_guard_band_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fstat", "--n", "100", "--guard-band", "-1"])
+    assert exc.value.code == 2
+    assert "--guard-band" in capsys.readouterr().err
+    code, _, _ = run_cli(["fstat", "--n", "100", "--guard-band", "0"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_parse_point_is_the_nearest_grid_value(precision):
+    # the definition: round half to even of value * 2^P, with 2^P itself at 0
+    import random
+    from fractions import Fraction
+    rng = random.Random(precision)
+    texts = ["0", "-0", "0.5", "0." + "9" * 25, "0." + "0" * 30 + "1"]
+    texts += [format_point(rng.getrandbits(precision), precision) for _ in range(300)]
+    texts += [f"0.{rng.getrandbits(60):018d}" for _ in range(300)]
+    for text in texts:
+        expect = round(Fraction(text) * (1 << precision)) % (1 << precision)
+        assert parse_point(text, precision) == expect
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

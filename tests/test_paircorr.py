@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from circlecorr import paircorr
 from circlecorr.numutil import circle_dist_raw
-from circlecorr.paircorr import (f_stat, f_stat_profile, is_progression,
-                                 min_pair_distance, pair_count_fast,
-                                 pair_count_naive, per_point_counts,
-                                 rescaling_identity_check, rotation_counts,
-                                 sorted_raw)
+from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
+                                 is_progression, min_pair_distance,
+                                 pair_count_fast, pair_count_naive,
+                                 per_point_counts, rescaling_identity_check,
+                                 rotation_counts, sorted_raw)
 from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate,
                                   iid_uniform, kronecker_orbit)
 
@@ -161,6 +161,126 @@ def test_per_point_counts_sum_to_total():
     assert int(pp.sum()) == pair_count_naive(dup, 10)
 
 
+# --- one kernel pass with the guard band from the window ends ---------------
+
+
+def guarded_reference(vals, t, g, modulus):
+    """(count at t, ambiguous pairs within +-g of t) by the naive oracle."""
+    below = pair_count_naive(vals, t - g - 1, modulus=modulus) if t > g else 0
+    upper = pair_count_naive(vals, min(t + g, modulus // 2), modulus=modulus)
+    return pair_count_naive(vals, t, modulus=modulus), upper - below
+
+
+def assert_guarded_counts(vals, t, g, modulus):
+    batch = Batch(vals, modulus)
+    expect = guarded_reference(vals, t, g, modulus)
+    assert paircorr._guarded_counts(paircorr._sorted_keys(batch), t, g, modulus) == expect
+    assert pair_count_fast(vals, t, modulus=modulus) == expect[0]
+    a = batch.sorted()
+    assert int(per_point_counts(a, t, modulus).sum()) == expect[0]
+
+
+def near_distances(draw, vals, modulus, offsets):
+    """A threshold at a pair distance that occurs, moved by one of the offsets."""
+    d = draw(st.sampled_from([circle_dist_raw(x, y, modulus) for x in vals for y in vals]))
+    return min(max(d + draw(st.sampled_from(offsets)), 0), modulus // 2)
+
+
+@st.composite
+def limb_band_cases(draw):
+    # P = 128 with colliding high limbs: a few distinct X, each moved by up to
+    # +-3, and low limbs at both ends and inside; thresholds within
+    # +-2 * 2^64 +-2 of a pair distance, band ends on both sides of a
+    # multiple of 2^64, and thresholds below 2^65 (t >> 64 < 2)
+    modulus = 1 << 128
+    xs = draw(st.lists(st.integers(0, M64 - 1), min_size=1, max_size=4))
+    lows = st.one_of(st.sampled_from([0, 1, M64 - 1, M64 // 2]), st.integers(0, M64 - 1))
+    pool = [(draw(st.sampled_from(xs)) + draw(st.integers(-3, 3))) % M64 << 64 | draw(lows)
+            for _ in range(draw(st.integers(1, 12)))]
+    vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=30))
+    g = draw(st.one_of(st.sampled_from([0, 1, 4]), st.integers(0, 2 * M64)))
+    kind = draw(st.sampled_from(["distance", "straddle", "low"]))
+    if kind == "distance":
+        t = near_distances(draw, vals, modulus,
+                           [k * M64 + j for k in range(-2, 3) for j in range(-2, 3)])
+    elif kind == "straddle":  # t - g - 1 < m 2^64 <= t + g, m next to a distance's high limb
+        m = (near_distances(draw, vals, modulus, [0]) >> 64) + draw(st.integers(-1, 1))
+        t = m * M64 + draw(st.integers(-g, g))
+    else:
+        t = draw(st.integers(0, 2 * M64 - 1))
+    return vals, min(max(t, 0), modulus // 2), g, modulus
+
+
+@settings(max_examples=200, deadline=None)
+@given(limb_band_cases())
+def test_guarded_counts_on_colliding_high_limbs(case):
+    assert_guarded_counts(*case)
+
+
+@st.composite
+def guard_cases_64(draw):
+    # P = 64 with repeated values: thresholds d +- g +- 1 and d +- 1 for the
+    # distances d that occur, with t <= g among them, and the half circle
+    modulus = M64
+    centre = draw(st.integers(0, M64 - 1))
+    spread = draw(st.sampled_from([8, 1 << 20, M64]))
+    pool = [(centre + draw(st.integers(0, spread - 1))) % M64
+            for _ in range(draw(st.integers(1, 12)))]
+    vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=30))
+    g = draw(st.one_of(st.sampled_from([0, 1, 4]), st.integers(0, 1 << 20)))
+    t = draw(st.one_of(
+        st.just(near_distances(draw, vals, modulus, [s * g + k for s in (-1, 0, 1)
+                                                     for k in (-1, 0, 1)])),
+        st.integers(0, g), st.sampled_from([modulus // 2, modulus // 2 - 1])))
+    return vals, t, g, modulus
+
+
+@settings(max_examples=200, deadline=None)
+@given(guard_cases_64())
+def test_guarded_counts_at_p64(case):
+    assert_guarded_counts(*case)
+
+
+def test_guarded_counts_across_blocks():
+    # queries in blocks of 3, so that block edges fall between equal values
+    vals = [int(v) for v in iid_uniform(40, seed=4, precision=128).raw]
+    vals += vals[:7] + [(v + (1 << 64)) % (1 << 128) for v in vals[:5]]
+    with mock.patch.object(paircorr, "_BLOCK", 3):
+        for t in (0, 1 << 64, (1 << 128) // 50, (1 << 128) // 7):
+            for g in (0, 4, 1 << 64, 1 << 70):
+                assert_guarded_counts(vals, t, g, 1 << 128)
+                assert_guarded_counts([v >> 64 for v in vals], t >> 64, g >> 64, M64)
+
+
+def test_iid_p128_cells_never_search_python_ints():
+    # every search of a non-rotation 2^128 cell runs on uint64 limbs, with the
+    # band settled on the low limb; no sorted array of Python ints is made
+    real = paircorr._search
+
+    def uint64_only(a, key, side):
+        assert a[0].dtype == np.uint64 and key[0].dtype == np.uint64
+        return real(a, key, side)
+
+    batch = iid_uniform(1000, seed=11, precision=128)
+    tiny = Fraction(1, 2 ** 60)
+    with mock.patch.object(paircorr, "_search", uint64_only), \
+            mock.patch.object(paircorr, "window_counts", side_effect=AssertionError), \
+            mock.patch.object(Batch, "sorted", side_effect=AssertionError):
+        cells = [(f_stat(batch, s, alpha), s, alpha)
+                 for s, alpha in ((1, 0.5), (1, 1), (tiny, 1))]
+    thresholds = [res.threshold.distance.value >> 64 for res, _, _ in cells]
+    assert thresholds[0] >= 2 and thresholds[1] >= 2 and thresholds[2] < 2
+    for res, s, alpha in cells:
+        t = res.threshold.distance.value
+        assert (res.ordered_pair_count, res.ambiguous_pairs) == \
+            guarded_reference(batch.raw, t, 4, 1 << 128)
+
+
+def test_f_stat_rejects_a_negative_guard_band():
+    with pytest.raises(ValueError):
+        f_stat(iid_uniform(100, seed=1), 1, 0.5, guard_ulps=-1)
+
+
 # --- the F statistic --------------------------------------------------------
 
 
@@ -187,6 +307,15 @@ def test_f_stat_known_zero():
 def test_f_stat_iid_near_two():
     res = f_stat(iid_uniform(10 ** 5, seed=0), 1, 1)
     assert abs(res.f_value - 2) < 0.1
+
+
+def test_f_value_never_raises():
+    def f(count, n, alpha):
+        return PairCountResult(n, alpha, 1.0, None, count, 0).f_value
+    assert f(6, 4, 0.5) == 6 / 4 ** 1.5
+    assert f(999000, 1000, -400.0) == 0.0  # N^(2 - alpha) overflows
+    assert f(0, 1000, 400.0) == 0.0  # N^(2 - alpha) underflows, with no pair
+    assert f(10, 1000, 400.0) == math.inf
 
 
 def test_f_stat_rejects_tiny_batches():
@@ -332,6 +461,18 @@ def test_exact_threshold_decided_by_exact_powers():
                 assert paircorr._exact_threshold_numerator(*case) == \
                     bisect_threshold_numerator(*case)
             assert paircorr._exact_threshold_numerator(*neg) == neg_floor
+
+
+def test_exact_threshold_at_extreme_alpha():
+    # far past either end of [0, den] the floor needs no power of N, which at
+    # alpha = 10^9 would have 10^10 bits
+    third = Fraction(1, 3)
+    for alpha, expect in ((Fraction(10 ** 9), 0), (Fraction(-10 ** 9), 1000),
+                          (Fraction(10 ** 9, 7), 0), (Fraction(400), 0)):
+        start = time.perf_counter()
+        assert paircorr._exact_threshold_numerator(third, 1000, alpha, 1000) == expect
+        assert time.perf_counter() - start < 1.0
+    assert bisect_threshold_numerator(third, 1000, Fraction(400), 1000) == 0
 
 
 def test_exact_threshold_rejects_nonpositive_s():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from circlecorr.sequences import (RationalBatch, SequenceSpec, generate,
-                                  golden_raw, iid_uniform, kronecker,
-                                  kronecker_orbit, resolve_z, sqrt_frac, vdc)
+from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, SequenceSpec, generate,
+                                  golden_raw, iid_uniform, join_limbs, kronecker,
+                                  kronecker_orbit, resolve_z, split_limbs,
+                                  sqrt_frac, vdc)
 
 M64 = 1 << 64
 
@@ -97,6 +98,32 @@ def test_iid_deterministic():
     assert np.array_equal(a.raw, b.raw)
     c = iid_uniform(100, seed=8)
     assert not np.array_equal(a.raw, c.raw)
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_iid_draws_are_getrandbits_in_turn(precision):
+    # the definition-level reference: one getrandbits(P) per point
+    import random
+    for count, seed in ((0, 1), (1, 2), (1000, 3)):
+        rng = random.Random(seed)
+        expect = [rng.getrandbits(precision) for _ in range(count)]
+        batch = iid_uniform(count, seed, precision=precision)
+        assert [int(v) for v in batch.raw] == expect
+        assert batch.raw.dtype == (np.uint64 if precision == 64 else object)
+
+
+@given(st.lists(st.integers(0, (1 << 128) - 1), max_size=40), st.integers(0, 45))
+def test_limbs_split_join_and_sort(vals, n):
+    high, low = split_limbs(vals)
+    assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == vals
+    assert list(join_limbs(high, low)) == vals
+    batch = Batch(vals, 1 << 128)
+    given_limbs = FixedBatch.from_limbs(128, np.column_stack([low, high]))
+    for b in (batch, batch.prefix(n), given_limbs, given_limbs.prefix(n)):
+        head = vals[:len(b)]
+        high, low = b.limbs()
+        assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == sorted(head)
+        assert list(b.sorted()) == sorted(head)
 
 
 def test_generate_prefix_consistency():
