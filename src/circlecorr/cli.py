@@ -12,95 +12,21 @@ import argparse
 import contextlib
 import math
 import sys
-from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from . import cf as cfmod
 from .paircorr import f_stat_profile
-from .sequences import (FixedBatch, RationalBatch, SequenceSpec, generate,
-                        kronecker_orbit)
+from .pointio import (format_point, read_points_binary, read_points_csv,
+                      write_points_binary, write_points_csv)
+from .sequences import SequenceSpec, generate, kronecker_orbit
 from .threegap import gap_census, predict_gaps
 from .verify import SUITES, run_suite
 
 DEFAULT_MAX_POINTS = 1 << 27
-_SIG_DIGITS = 20
-_WORK = Context(prec=60)  # working precision of format_point and parse_point
-_SHOWN = Context(prec=_SIG_DIGITS)
-_GRID = {precision: Decimal(1 << precision) for precision in (64, 128)}
-_ZERO, _ONE = Decimal(0), Decimal(1)
-_IO_BLOCK = 1 << 12  # points converted at once, which bounds the temporaries
 
 
 class UsageError(Exception):
     pass
-
-
-# --- point serialization -----------------------------------------------------
-
-
-def format_point(raw: int, precision: int) -> str:
-    """Decimal value of raw/2^precision at 20 significant digits; 1 (P = 128) is written 0."""
-    shown = _SHOWN.plus(_WORK.divide(Decimal(raw), _GRID[precision]))
-    return "0" if shown == 1 else str(shown)  # the same point, and parse_point accepts it
-
-
-def parse_point(text: str, precision: int) -> int:
-    """Invert format_point: nearest grid value (exact for P=64 at 20 digits).
-
-    A value outside [0, 1) is a ValueError; one that rounds up to 2^P maps to 0.
-    """
-    value = Decimal(text)
-    if not _ZERO <= value < _ONE:
-        raise ValueError(f"{text!r} is outside [0, 1)")
-    raw = int(_WORK.multiply(value, _GRID[precision]).to_integral_value(ROUND_HALF_EVEN, _WORK))
-    return 0 if raw >> precision else raw  # only 2^P itself reaches past the grid
-
-
-def write_points_csv(batch, stream):
-    batch = _fixed(batch)
-    stream.write("value\n")
-    for i in range(0, len(batch), _IO_BLOCK):
-        stream.writelines([format_point(v, batch.precision) + "\n"
-                           for v in batch.raw[i:i + _IO_BLOCK].tolist()])
-
-
-def write_points_binary(batch, stream):
-    """Each point as precision/8 little-endian bytes: its uint64 limbs, low limb first."""
-    batch = _fixed(batch)
-    limbs = (batch.raw,) if batch.precision == 64 else batch.split()[::-1]
-    for i in range(0, len(batch), _IO_BLOCK):
-        block = np.column_stack([limb[i:i + _IO_BLOCK] for limb in limbs])
-        stream.write(block.astype("<u8", copy=False).tobytes())
-
-
-def read_points_csv(stream, precision: int) -> FixedBatch:
-    values = []
-    for i, line in enumerate(stream):
-        line = line.strip()
-        if not line or (i == 0 and line == "value"):
-            continue
-        try:
-            values.append(parse_point(line, precision))
-        except ArithmeticError:  # decimal.InvalidOperation: not a number, or NaN
-            raise UsageError(f"line {i + 1}: {line!r} is not a point value") from None
-        except ValueError as exc:  # a number outside [0, 1), Infinity among them
-            raise UsageError(f"line {i + 1}: {exc}") from None
-    return FixedBatch(precision, values)
-
-
-def read_points_binary(stream, precision: int) -> FixedBatch:
-    data = stream.read()
-    width = precision // 8
-    if len(data) % width:
-        raise UsageError(f"binary point file length is not a multiple of {width}")
-    return FixedBatch.from_limbs(precision, np.frombuffer(data, dtype="<u8")
-                                 .reshape(-1, precision // 64))
-
-
-def _fixed(batch):
-    return batch.to_fixed() if isinstance(batch, RationalBatch) else batch
 
 
 # --- argument plumbing -------------------------------------------------------
@@ -137,11 +63,19 @@ def _sequence_flags(parser):
                         help="start vdc at n=1 instead of n=0")
 
 
+def _fraction(text) -> Fraction:
+    """p/q, or a decimal, as a Fraction; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{text!r} has a zero denominator") from None
+
+
 def _parse_z(text):
     if text == "golden":
         return "golden"
     if "/" in text:
-        return Fraction(text)
+        return _fraction(text)
     return text  # decimal literal; resolve_z validates digit count
 
 
@@ -267,7 +201,7 @@ def cmd_cf(args):
     if args.value == "golden":
         cf = cfmod.golden_cf(args.terms)
     else:
-        value = Fraction(args.value) if "/" in args.value or "." in args.value \
+        value = _fraction(args.value) if "/" in args.value or "." in args.value \
             else Fraction(int(args.value))
         cf = cfmod.cf_expand(value, max_terms=args.terms)
     with _open_out(args) as stream:
@@ -286,7 +220,7 @@ def cmd_ostrowski(args):
     if args.z == "golden":
         rep = cfmod.golden_ostrowski(args.n)
     else:
-        cf = cfmod.cf_expand(Fraction(args.z), max_terms=128)
+        cf = cfmod.cf_expand(_fraction(args.z), max_terms=128)
         rep = cfmod.ostrowski(args.n, cf)
     with _open_out(args) as stream:
         if args.format == "csv":

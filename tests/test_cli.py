@@ -1,16 +1,22 @@
 import hashlib
 import io
+import math
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from decimal import Context, Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from circlecorr import cli
-from circlecorr.cli import (format_point, main, parse_point, read_points_binary,
-                            read_points_csv, write_points_binary, write_points_csv)
+from circlecorr import cli, pointio
+from circlecorr.cli import main
 from circlecorr.paircorr import pair_count_naive
+from circlecorr.pointio import (format_point, parse_point, read_points_binary,
+                                read_points_csv, write_points_binary, write_points_csv)
 from circlecorr.sequences import FixedBatch, SequenceSpec, generate, iid_uniform
 from circlecorr.verify import VerificationReport
 
@@ -19,6 +25,170 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+_WORK, _SHOWN = Context(prec=60), Context(prec=20)
+
+
+def reference_format_point(raw, precision):
+    """The former Decimal writer: raw/2^P at 60 digits, then rounded to 20."""
+    shown = _SHOWN.plus(_WORK.divide(Decimal(raw), Decimal(1 << precision)))
+    return "0" if shown == 1 else str(shown)
+
+
+def reference_read(text, precision):
+    """The former line-by-line reader: parse_point on every stripped line."""
+    values = []
+    for i, line in enumerate(io.StringIO(text, newline="")):
+        line = line.strip()
+        if not line or (i == 0 and line == "value"):
+            continue
+        try:
+            values.append(parse_point(line, precision))
+        except ArithmeticError:
+            raise ValueError(f"line {i + 1}: {line!r} is not a point value") from None
+        except ValueError as exc:
+            raise ValueError(f"line {i + 1}: {exc}") from None
+    return values
+
+
+def writer_cases(precision):
+    rng = random.Random(precision)
+    top = 1 << precision
+    values = [0, 1, 2, top - 1, top - 2, top // 2]
+    values += [rng.getrandbits(precision) for _ in range(1500)]
+    values += [rng.getrandbits(precision) >> rng.randrange(precision) for _ in range(1500)]
+    values += [rng.randrange(top // 10 ** 6) for _ in range(300)]  # exponent form
+    values += [k << (precision - j) for j in range(1, precision + 1) for k in (1, 3, 5, 7)
+               if k < 1 << j]  # exact dyadics k / 2^j: 0.5, 0.25, 0.375, ...
+    for j in range(1, 40):  # next to the decimal fractions k / 10^j
+        for k in (1, 3, 5, 9, 10 ** 6 - 1, 10 ** 19 - 1):
+            at = top * k // 10 ** j
+            values += [v for v in (at - 1, at, at + 1) if 0 <= v < top]
+    for j in range(20, 59):  # next to the midpoints of 20-digit values
+        for digits in (rng.randrange(10 ** 19, 10 ** 20) for _ in range(4)):
+            at = top * (2 * digits + 1) // (2 * 10 ** j)
+            values += [v for v in (at, at + 1) if 0 < v < top]
+    return values
+
+
+def written_lines(values, precision):
+    buf = io.StringIO()
+    write_points_csv(FixedBatch(precision, values), buf)
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == "value" and lines[-1] == ""
+    return lines[1:-1]
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_csv_writer_matches_the_decimal_reference(precision, monkeypatch):
+    values = writer_cases(precision)
+    expect = [reference_format_point(v, precision) for v in values]
+    assert written_lines(values, precision) == expect
+    assert [format_point(v, precision) for v in values[:300]] == expect[:300]
+    assert {"0.5", "0.25", "0"} <= set(expect)
+    assert any("E-" in text for text in expect)
+    for block in (1, 2, 3):  # values spread across block boundaries
+        monkeypatch.setattr(pointio, "_IO_BLOCK", block)
+        assert written_lines(values[:40], precision) == expect[:40]
+
+
+def test_csv_writer_top_values():
+    # 1 - 2^-128 rounds to 1 at 20 digits and is written 0, the same point;
+    # 1 - 2^-64 is 0.99999999999999999995 at 20 digits
+    assert written_lines([(1 << 128) - 1, (1 << 128) - 2], 128) == ["0", "0"]
+    assert written_lines([(1 << 64) - 1], 64) == ["0.99999999999999999995"]
+
+
+def reader_texts():
+    rng = random.Random(11)
+    pieces = ["value", "", " ", "\t", "0", "-0", "+0.5", "0.5", " 0.25 ", "5E-7", "1e-30",
+              "4.76837158203125E-7", "0.", ".5", "00.5", "0.000", "0.5\r", "\u0660.\u0665",
+              "0.\uff15", "0." + "1" * 30, "0." + "9" * 27, "0." + "9" * 25,
+              "0." + "0" * 26 + "1", "0." + "3" * 21, "0." + "3" * 20,
+              "0.99999999999999999999999", "2.9387358770557187699E-39"]
+    pieces += [format_point(rng.getrandbits(128) >> rng.randrange(128), 128)
+               for _ in range(20)]
+    pieces += [format_point(rng.getrandbits(64), 64) for _ in range(20)]
+    pieces += ["0." + str(rng.getrandbits(90)).zfill(27)[:rng.randrange(1, 28)]
+               for _ in range(40)]  # up to 27 digits, all significant
+    for precision in (64, 128):  # just above and below a midpoint of the grid
+        for _ in range(10):
+            mid = Fraction(2 * rng.getrandbits(precision) + 1, 2 << precision)
+            for width in (27, 28):
+                near = mid * 10 ** width
+                pieces += [f"0.{math.floor(near):0{width}d}", f"0.{math.ceil(near):0{width}d}"]
+    texts = ["", "value\n", "value", "\n\n", "value\r\n0.5\r\n"]
+    for _ in range(150):
+        lines = [rng.choice(pieces) for _ in range(rng.randrange(1, 12))]
+        end = rng.choice(["\n", "\r\n"])
+        texts.append(end.join(lines) + rng.choice([end, ""]))
+    return texts
+
+
+def outcome(read, text, precision):
+    """The values read, or the error's message."""
+    try:
+        return [int(v) for v in read(text, precision)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_csv_reader_matches_parse_point_on_every_line(precision, monkeypatch):
+    texts = reader_texts()
+    expect = [outcome(reference_read, text, precision) for text in texts]
+    assert sum(isinstance(e, list) for e in expect) > 100  # most texts are valid
+    for block in (1, 2, 3, 1 << 12):
+        monkeypatch.setattr(pointio, "_IO_BLOCK", block)
+        for text, values in zip(texts, expect):
+            block_read = outcome(
+                lambda t, p: read_points_csv(io.StringIO(t, newline=""), p).raw, text, precision)
+            assert block_read == values, text
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_csv_reader_round_trips_the_writer(precision):
+    values = writer_cases(precision)
+    buf = io.StringIO()
+    write_points_csv(FixedBatch(precision, values), buf)
+    text = buf.getvalue()
+    back = read_points_csv(io.StringIO(text), precision)
+    assert [int(v) for v in back.raw] == reference_read(text, precision)
+    if precision == 64:  # 20 digits pin a 64-bit value
+        assert [int(v) for v in back.raw] == values
+
+
+def test_csv_reader_names_the_line_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(pointio, "_IO_BLOCK", 3)
+    text = "value\n" + "0.5\n" * 6 + "\n0.25\n1.5\n0.75\n"
+    with pytest.raises(ValueError, match="^line 10: '1.5' is outside"):
+        read_points_csv(io.StringIO(text), 64)
+    with pytest.raises(ValueError, match="^line 9: 'x' is not a point value"):
+        read_points_csv(io.StringIO(text.replace("0.25", "x")), 64)
+
+
+def test_csv_io_memory_is_bounded_by_the_blocks():
+    batch = iid_uniform(200_000, seed=3)
+    buf = io.StringIO()
+    write_points_csv(batch, buf)
+    source = io.StringIO(buf.getvalue())
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        write_points_csv(batch, Sink())
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_points_csv(source, 64)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (back.raw == batch.raw).all()
+    assert write_peak <= 2e6 and read_peak <= 5e6, (write_peak, read_peak)
 
 
 def test_point_round_trip_64():
@@ -255,6 +425,15 @@ def test_parse_point_is_the_nearest_grid_value(precision):
         assert parse_point(text, precision) == expect
 
 
+@pytest.mark.parametrize("argv", ["gen --n 3 --z 1/0", "fstat --n 3 --z 1/0",
+                                  "gaps --n 3 --z 1/0", "ostrowski 5 --z 1/0", "cf 1/0",
+                                  "cf 0/0"])
+def test_zero_denominator_is_usage_error(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -269,7 +448,8 @@ def test_entry_point_installed():
 
 
 # SHA-256 of each command's --out file, recorded before the counting kernel
-# and the batch type were unified; any drift in counts, thresholds, F
+# and the batch type were unified (the last five: before CSV point I/O moved
+# from Decimal to limb arithmetic); any drift in counts, thresholds, F
 # formatting or point serialization changes a digest
 OUTPUT_DIGESTS = {
     "gen-vdc3-csv": ("gen --seq vdc --base 3 --n 100",
@@ -310,6 +490,16 @@ OUTPUT_DIGESTS = {
         "c47fefdb55cab19728d5d1b8a8f84be58cd002c501f3225c5da243c92e588cbe"),
     "fstat-points128-bin": ("fstat --points pts128.bin --points-format binary --precision 128 --n 200,400 --alpha 0.5,1 --s 1",
         "0665e3c68a754d5899be008f50b5c57d0d1fa433d62298f94406a80b7f4dae75"),
+    "gen-iid-200k-csv": ("gen --seq iid --seed 3 --n 200000",
+        "34304cd5e57fd5a5eb020a9cd7a052345c9603d3d755fa64e677d44ae5766620"),
+    "gen-vdc2-csv": ("gen --seq vdc --base 2 --n 4096",
+        "ac876836133c9bd5d53b0fa613889a16b539e45646c9a16d11d212d8322ced22"),
+    "gen-iid128-20k-csv": ("gen --seq iid --seed 4 --precision 128 --n 20000",
+        "2c2ec603ca0701f2370365664214c6fb6b702bf7722155e3d5216d169f5eea29"),
+    "gaps128-csv": ("gaps --n 1000 --precision 128",
+        "84681066acf08a2ca546be365c85ec2dcecc88508fb00f6099444dfb37cddbfa"),
+    "fstat-points128-csv": ("fstat --points pts128.csv --precision 128 --n 200,400 --alpha 0.5,1 --s 1",
+        "b8b88bcea097b21ed4cd27071eac23562469d93459c56a435aa4544600acf9d9"),
 }
 
 
@@ -320,5 +510,6 @@ def test_cli_output_bytes_unchanged(name, tmp_path, monkeypatch):
     assert main("gen --seq iid --seed 5 --n 300 --out pts.csv".split()) == 0
     assert main("gen --seq iid --seed 6 --precision 128 --n 400 --binary "
                 "--out pts128.bin".split()) == 0
+    assert main("gen --seq iid --seed 6 --precision 128 --n 400 --out pts128.csv".split()) == 0
     assert main(argv.split() + ["--out", "out"]) == 0
     assert hashlib.sha256(Path("out").read_bytes()).hexdigest() == digest
