@@ -7,20 +7,15 @@ utilities, three-gap analysis and named verification suites.
 
 from .cf import (ContinuedFraction, OstrowskiRep, cf_expand, fibonacci,
                  golden_cf, golden_ostrowski, lemma11_ratio, lemma12_value,
-                 ostrowski, residue)
+                 ostrowski)
 from .numutil import (DEFAULT_GUARD_ULPS, DEFAULT_PRECISION, CircleDistance,
-                      PrecisionMismatchError, RationalPoint, Threshold,
-                      UnitPoint, circle_dist, circle_dist_rational,
-                      threshold_from)
+                      Threshold, threshold_from)
 from .paircorr import (PairCountResult, f_stat, f_stat_profile,
-                       min_pair_distance, pair_count_fast, pair_count_naive,
-                       rescaling_identity_check)
+                       min_pair_distance, pair_count_fast, pair_count_naive)
 from .sequences import (FixedBatch, RationalBatch, SequenceSpec, generate,
-                        iid_uniform, kronecker, kronecker_orbit, sqrt_frac,
-                        vdc)
+                        iid_uniform, kronecker_orbit)
 from .threegap import (GapCensus, GapPrediction, gap_census, gap_classes,
-                       interval_composition, lemma9_bounds_check,
-                       predict_gaps)
+                       lemma9_bounds_check, predict_gaps)
 from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
@@ -28,15 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CircleDistance", "ContinuedFraction", "DEFAULT_GUARD_ULPS",
     "DEFAULT_PRECISION", "FixedBatch", "GapCensus", "GapPrediction",
-    "OstrowskiRep", "PairCountResult", "PrecisionMismatchError",
-    "RationalBatch", "RationalPoint", "SequenceSpec", "Threshold",
-    "UnitPoint", "VerificationReport", "cf_expand", "circle_dist",
-    "circle_dist_rational", "f_stat", "f_stat_profile", "fibonacci",
-    "gap_census", "gap_classes", "generate", "golden_cf",
-    "golden_ostrowski", "iid_uniform", "interval_composition", "kronecker",
-    "kronecker_orbit", "lemma11_ratio", "lemma12_value",
-    "lemma9_bounds_check", "min_pair_distance", "ostrowski",
-    "pair_count_fast", "pair_count_naive", "predict_gaps", "residue",
-    "rescaling_identity_check", "run_suite", "sqrt_frac", "threshold_from",
-    "vdc",
+    "OstrowskiRep", "PairCountResult", "RationalBatch", "SequenceSpec",
+    "Threshold", "VerificationReport", "cf_expand", "f_stat",
+    "f_stat_profile", "fibonacci", "gap_census", "gap_classes", "generate",
+    "golden_cf", "golden_ostrowski", "iid_uniform", "kronecker_orbit",
+    "lemma11_ratio", "lemma12_value", "lemma9_bounds_check",
+    "min_pair_distance", "ostrowski", "pair_count_fast", "pair_count_naive",
+    "predict_gaps", "run_suite", "threshold_from",
 ]

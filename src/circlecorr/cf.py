@@ -1,4 +1,4 @@
-"""Continued fractions, convergents, residues and Ostrowski digits.
+"""Continued fractions, convergents and Ostrowski digits.
 
 Convergents use the standard initialization p_-1 = 1, q_-1 = 0, p_0 = a_0,
 q_0 = 1, so that p_i/q_i really equals [a_0; a_1, ..., a_i].  Golden-mean
@@ -16,11 +16,7 @@ from typing import Optional
 
 import mpmath
 
-from .numutil import _MP_DPS
-
-
-class InternalConsistencyError(AssertionError):
-    """Two supposedly-equal evaluation routes disagreed beyond tolerance."""
+_GOLDEN_DPS = 80  # decimal digits for closed forms in the golden mean
 
 
 @dataclass
@@ -61,17 +57,6 @@ class ContinuedFraction:
     def value(self) -> Fraction:
         """Value of the final convergent."""
         return Fraction(self.p[-1], self.q[-1])
-
-    def tail(self, n: int):
-        """[a_{n+1}; a_{n+2}, ...] as an mpf (the complete quotient after index n)."""
-        rest = self.quotients[n + 1:]
-        if not rest:
-            raise ValueError(f"no quotients beyond index {n}")
-        with mpmath.workdps(_MP_DPS):
-            t = mpmath.mpf(rest[-1])
-            for a in reversed(rest[:-1]):
-                t = a + 1 / t
-            return t
 
     def __str__(self):
         if len(self.quotients) == 1:
@@ -125,13 +110,6 @@ def golden_cf(terms: int = GOLDEN_TERMS) -> ContinuedFraction:
     return ContinuedFraction([1] * terms)
 
 
-def golden_phi_fraction(bits: int = 192) -> Fraction:
-    """phi = (1 + sqrt 5)/2 as an exact dyadic approximation (floor to `bits` bits)."""
-    import math
-    root5 = math.isqrt(5 << (2 * bits))
-    return Fraction(root5 + (1 << bits), 1 << (bits + 1))
-
-
 @lru_cache(maxsize=None)
 def fibonacci(h: int) -> int:
     """F_h with F_0 = 0, F_1 = F_2 = 1; the golden ladder has q_h = F_h."""
@@ -145,37 +123,6 @@ def fibonacci(h: int) -> int:
 
 def phi_mpf():
     return (1 + mpmath.sqrt(5)) / 2
-
-
-# --- residues --------------------------------------------------------------
-
-
-def residue(z, cf: ContinuedFraction, n: int, tail=None,
-            tolerance_bits: int = 56) -> Fraction:
-    """z - p_n/q_n, cross-checked against the closed form.
-
-    The closed form (-1)^n / (q_n (t q_n + q_{n-1})), with t the complete
-    quotient after index n, must agree with direct subtraction within
-    2^-tolerance_bits; disagreement signals an indexing bug and raises.
-    Returns the direct difference as an exact Fraction of the given z.
-    """
-    if n < 0 or n >= len(cf):
-        raise ValueError(f"index {n} outside convergent table")
-    z = Fraction(z)
-    p_n, q_n = cf.convergent(n)
-    _, q_prev = cf.convergent(n - 1)
-    direct = z - Fraction(p_n, q_n)
-    with mpmath.workdps(_MP_DPS):
-        if tail is None:
-            tail = cf.tail(n) if n + 1 < len(cf) else None
-        if tail is not None:
-            closed = mpmath.mpf(-1) ** n / (q_n * (tail * q_n + q_prev))
-            diff = abs(mpmath.mpf(direct.numerator) / direct.denominator - closed)
-            if diff > mpmath.mpf(2) ** (-tolerance_bits):
-                raise InternalConsistencyError(
-                    f"residue routes disagree at n={n}: direct={float(direct)}, "
-                    f"closed={float(closed)}")
-    return direct
 
 
 # --- Ostrowski representations --------------------------------------------
@@ -291,7 +238,7 @@ def lemma12_value(h: int):
     if h < 2:
         raise ValueError("h must be >= 2")
     q_h, q_h1, q_h2 = fibonacci(h), fibonacci(h - 1), fibonacci(h - 2)
-    with mpmath.workdps(_MP_DPS):
+    with mpmath.workdps(_GOLDEN_DPS):
         phi = phi_mpf()
-        k = 1 / (phi * q_h1 + q_h2)  # ||q_{h-1} phi|| exactly, by the residue identity
+        k = 1 / (phi * q_h1 + q_h2)  # ||q_{h-1} phi|| exactly, by the convergent error identity
         return float((1 + 1 / phi ** 2) * k * q_h)

@@ -1,103 +1,33 @@
-"""Exact arithmetic on the unit circle.
+"""Circle distances and the exact close-pair threshold.
 
-Points of [0,1) are stored as unsigned fixed-point integers with P
-fractional bits (P = 64 or 128), so addition and subtraction modulo 2^P
-are addition and subtraction modulo 1.  Van der Corput points are kept
-as exact rationals over a power denominator b^k instead.
+A point of [0,1) is a raw integer over a modulus: 2^P on the fixed-point
+grid (P = 64 or 128), where addition modulo 2^P is addition modulo 1, or
+b^k for exact van der Corput batches.  The threshold s/N^alpha is decided
+exactly on every modulus: _exact_threshold_numerator floors it against any
+denominator, and threshold_from rounds it to the nearest point of the 2^P
+grid through that floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
+from mpmath import iv
+from mpmath.libmp import to_int
 
 DEFAULT_PRECISION = 64
 SUPPORTED_PRECISIONS = (64, 128)
 DEFAULT_GUARD_ULPS = 4
-
-
-class PrecisionMismatchError(ValueError):
-    """Operands carry incompatible precision or denominators."""
+_BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 
 
 def _check_precision(precision):
     if precision not in SUPPORTED_PRECISIONS:
         raise ValueError(f"precision must be one of {SUPPORTED_PRECISIONS}, got {precision}")
-
-
-@dataclass(frozen=True)
-class UnitPoint:
-    """A point of [0,1) as value/2^precision."""
-
-    value: int
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        _check_precision(self.precision)
-        object.__setattr__(self, "value", self.value % (1 << self.precision))
-
-    @property
-    def modulus(self):
-        return 1 << self.precision
-
-    @classmethod
-    def from_fraction(cls, frac, precision=DEFAULT_PRECISION):
-        """Round-to-nearest embedding of an exact rational into the grid."""
-        frac = Fraction(frac) % 1
-        raw = (frac.numerator * (1 << precision) * 2 + frac.denominator) // (2 * frac.denominator)
-        return cls(raw, precision)
-
-    def to_fraction(self):
-        return Fraction(self.value, self.modulus)
-
-    def __float__(self):
-        return self.value / self.modulus
-
-    def __add__(self, other):
-        if self.precision != other.precision:
-            raise PrecisionMismatchError("cannot add points of different precision")
-        return UnitPoint(self.value + other.value, self.precision)
-
-    def __sub__(self, other):
-        if self.precision != other.precision:
-            raise PrecisionMismatchError("cannot subtract points of different precision")
-        return UnitPoint(self.value - other.value, self.precision)
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    """Exact point numerator/base**exponent of [0,1)."""
-
-    numerator: int
-    base: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if self.exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        if not 0 <= self.numerator < self.base ** self.exponent:
-            raise ValueError("numerator out of range for denominator")
-
-    @property
-    def denominator(self):
-        return self.base ** self.exponent
-
-    def to_fraction(self):
-        return Fraction(self.numerator, self.denominator)
-
-    def to_unit_point(self, precision=DEFAULT_PRECISION):
-        return UnitPoint.from_fraction(self.to_fraction(), precision)
-
-    def rescale(self, exponent):
-        """Lift to the common denominator base**exponent (exponent >= self.exponent)."""
-        if exponent < self.exponent:
-            raise ValueError("cannot reduce exponent")
-        return RationalPoint(self.numerator * self.base ** (exponent - self.exponent),
-                             self.base, exponent)
 
 
 @dataclass(frozen=True)
@@ -118,32 +48,11 @@ class CircleDistance:
     def __float__(self):
         return self.value / (1 << self.precision)
 
-    def __le__(self, other):
-        return self.value <= other.value
-
-    def __lt__(self, other):
-        return self.value < other.value
-
 
 def circle_dist_raw(a: int, b: int, modulus: int) -> int:
     """min(d, modulus - d) with d = (a - b) mod modulus."""
     d = (a - b) % modulus
     return min(d, modulus - d)
-
-
-def circle_dist(a: UnitPoint, b: UnitPoint) -> CircleDistance:
-    """Shorter-arc distance between two points of the same precision."""
-    if a.precision != b.precision:
-        raise PrecisionMismatchError("circle_dist requires equal precision")
-    return CircleDistance(circle_dist_raw(a.value, b.value, a.modulus), a.precision)
-
-
-def circle_dist_rational(a: RationalPoint, b: RationalPoint) -> Fraction:
-    """Exact shorter-arc distance for points over the same power denominator."""
-    if (a.base, a.exponent) != (b.base, b.exponent):
-        raise PrecisionMismatchError("circle_dist_rational requires a common denominator")
-    delta = abs(a.numerator - b.numerator)
-    return Fraction(min(delta, a.denominator - delta), a.denominator)
 
 
 @dataclass(frozen=True)
@@ -155,32 +64,114 @@ class Threshold:
     degenerate: bool  # true when s/N^alpha >= 1/2: every pair counts
 
 
-_MP_DPS = 80
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """The integer r with r^k == n (n >= 1, k >= 1), or None when there is none."""
+    if k > n.bit_length():  # any r >= 2 has r^k >= 2^k > n
+        return 1 if n == 1 else None
+    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton descends to it
+    while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = y
+    return r if r ** k == n else None
 
 
-def _as_mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
+def _floor_bracket(s: Fraction, N: int, alpha: Fraction, denominator: int,
+                   bits: int) -> tuple:
+    """(floor lo, floor hi) of an interval [lo, hi] that holds s * denominator / N^alpha."""
+    saved, iv.prec = iv.prec, bits
+    try:
+        x = iv.mpf(s.numerator * denominator) / (
+            iv.mpf(s.denominator) * iv.mpf(N) ** (iv.mpf(alpha.numerator) / alpha.denominator))
+        # mpmath rounds the ends of exp and log from a few guard bits, so an
+        # end may sit an ulp inside; widening by 2^8 ulps keeps x enclosed
+        eps = mpmath.ldexp(1, 8 - bits)
+        x *= 1 + iv.mpf([-eps, eps])
+    finally:
+        iv.prec = saved
+    return tuple(to_int(end, "f") for end in x._mpi_)
+
+
+def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator: int) -> int:
+    """Largest d <= denominator with d/denominator <= s/N^alpha, decided exactly.
+
+    That is min(denominator, floor x) for x = s * denominator / N^alpha.  With
+    alpha = p/q in lowest terms, N^alpha is rational only when N is a perfect
+    q-th power r^q, and then x = s * denominator / r^p is floored as a
+    Fraction.  Otherwise x is irrational, so never an integer, and an
+    interval enclosure settles floor x as soon as both ends share a floor:
+    it starts at the denominator's bit length plus 64 bits and doubles.  The
+    cost grows with log2(denominator), not with q.  Should x sit so close to
+    an integer that the last doubling still straddles it, exact powers
+    (d^q N^p against (s * denominator)^q, O(q) big-integer work) decide
+    inside the bracket, so termination never rests on that distance.
+    """
+    if s <= 0:
+        raise ValueError("s must be positive")
+    # x below 1/2 or above twice the denominator needs no power of N: an
+    # extreme alpha would otherwise raise N to a power of any size
+    log_x = (math.log2(s.numerator) - math.log2(s.denominator) + math.log2(denominator)
+             - float(alpha) * math.log2(N))
+    if log_x < -1:
+        return 0
+    if log_x > math.log2(denominator) + 1:
+        return denominator
+    p, q = alpha.numerator, alpha.denominator
+    r = _exact_root(N, q)
+    if r is not None:
+        x = s * denominator / Fraction(r) ** p
+        return min(denominator, x.numerator // x.denominator)
+    lo, hi, bits = 0, denominator, denominator.bit_length() + 64
+    for _ in range(_BRACKET_DOUBLINGS):
+        lo, hi = _floor_bracket(s, N, alpha, denominator, bits)
+        if lo >= denominator:
+            return denominator
+        if lo == hi:
+            return lo
+        bits *= 2
+    # d^q N^p <= (s * denominator)^q, with N^|p| on the side that keeps it whole
+    lhs = s.denominator ** q * N ** max(p, 0)
+    rhs = (s.numerator * denominator) ** q * N ** max(-p, 0)
+    lo, hi = max(lo, 0), min(hi, denominator)
+    while lo < hi:  # max d in [lo, hi] with d/denominator <= s/N^alpha
+        mid = (lo + hi + 1) // 2
+        if mid ** q * lhs <= rhs:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _finite_fraction(x, name: str) -> Fraction:
+    """x as an exact Fraction; a float means its binary value."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        raise ValueError(f"{name} must be finite, got {x!r}") from None
 
 
 def threshold_from(s, N: int, alpha, precision=DEFAULT_PRECISION,
                    guard_ulps=DEFAULT_GUARD_ULPS) -> Threshold:
-    """Round s/N^alpha to the nearest point of the 2^P grid.
+    """Round s/N^alpha to the nearest point of the 2^P grid, decided exactly.
 
-    The guard band marks distance comparisons within +-guard_ulps of the
+    A float s or alpha means its binary value.  Nearest rounding is a floor:
+    for x = s 2^P / N^alpha the raw threshold is (floor(2x) + 1) // 2, and
+    floor(2x) is _exact_threshold_numerator at the denominator 2^(P+1).  A
+    tie (2x an odd integer, so N^alpha is rational) rounds to even.  The
+    guard band marks distance comparisons within +-guard_ulps of the
     rounded threshold as ambiguous so callers can demand zero ambiguity.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if not _as_mpf(s) > 0:
+    s, alpha = _finite_fraction(s, "s"), _finite_fraction(alpha, "alpha")
+    if s <= 0:
         raise ValueError("s must be positive")
     _check_precision(precision)
-    with mpmath.workdps(_MP_DPS):
-        thr = _as_mpf(s) * mpmath.power(N, -_as_mpf(alpha))
-        half = 1 << (precision - 1)
-        if thr >= mpmath.mpf(1) / 2:
-            return Threshold(CircleDistance(half, precision), guard_ulps, True)
-        raw = int(mpmath.nint(thr * (1 << precision)))
-    raw = min(raw, half)
+    half = 1 << (precision - 1)
+    twice = _exact_threshold_numerator(s, N, alpha, 2 << precision)
+    if twice >= 2 * half:  # s/N^alpha >= 1/2
+        return Threshold(CircleDistance(half, precision), guard_ulps, True)
+    raw = (twice + 1) // 2
+    if twice & 1 and raw & 1:  # a tie would round to the odd raw; it rounds to even
+        r = _exact_root(N, alpha.denominator)
+        if r is not None and s * (2 << precision) == twice * Fraction(r) ** alpha.numerator:
+            raw -= 1
     return Threshold(CircleDistance(raw, precision), guard_ulps, False)

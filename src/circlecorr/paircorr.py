@@ -8,7 +8,9 @@ high limb places each window end, and the low limb settles it only inside
 a run of equal high limbs.  f_stat counts a fixed-point cell in one kernel
 pass and finds the guard band from the points next to each window end.
 The naive path tests every pair, in strips of the distance matrix, as an
-independent oracle.
+independent oracle.  Thresholds come from numutil, decided exactly: floored
+against the denominator on rational batches, rounded to the nearest grid
+point on fixed-point batches.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
-from mpmath import iv
-from mpmath.libmp import to_int
 
-from .numutil import Threshold, threshold_from
+from .numutil import Threshold, _exact_threshold_numerator, threshold_from
 from .sequences import Batch, RationalBatch, split_limbs
 
 _U64 = np.uint64
@@ -33,7 +32,6 @@ _MASK64 = _FULL64 - 1
 _BLOCK = 1 << 13  # queries per window-kernel step, which bounds its temporaries
 _DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
 _STRIP_CELLS = 1 << 16  # distance cells per pair_count_naive strip
-_BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 
 
 # --- naive oracle ----------------------------------------------------------
@@ -346,82 +344,6 @@ class PairCountResult:
         return self.ordered_pair_count / scale
 
 
-def _exact_root(n: int, k: int) -> Optional[int]:
-    """The integer r with r^k == n (n >= 1, k >= 1), or None when there is none."""
-    if k > n.bit_length():  # any r >= 2 has r^k >= 2^k > n
-        return 1 if n == 1 else None
-    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton descends to it
-    while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-        r = y
-    return r if r ** k == n else None
-
-
-def _floor_bracket(s: Fraction, N: int, alpha: Fraction, denominator: int,
-                   bits: int) -> tuple:
-    """(floor lo, floor hi) of an interval [lo, hi] that holds s * denominator / N^alpha."""
-    saved, iv.prec = iv.prec, bits
-    try:
-        x = iv.mpf(s.numerator * denominator) / (
-            iv.mpf(s.denominator) * iv.mpf(N) ** (iv.mpf(alpha.numerator) / alpha.denominator))
-        # mpmath rounds the ends of exp and log from a few guard bits, so an
-        # end may sit an ulp inside; widening by 2^8 ulps keeps x enclosed
-        eps = mpmath.ldexp(1, 8 - bits)
-        x *= 1 + iv.mpf([-eps, eps])
-    finally:
-        iv.prec = saved
-    return tuple(to_int(end, "f") for end in x._mpi_)
-
-
-def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator: int) -> int:
-    """Largest d <= denominator with d/denominator <= s/N^alpha, decided exactly.
-
-    That is min(denominator, floor x) for x = s * denominator / N^alpha.  With
-    alpha = p/q in lowest terms, N^alpha is rational only when N is a perfect
-    q-th power r^q, and then x = s * denominator / r^p is floored as a
-    Fraction.  Otherwise x is irrational, so never an integer, and an
-    interval enclosure settles floor x as soon as both ends share a floor:
-    it starts at the denominator's bit length plus 64 bits and doubles.  The
-    cost grows with log2(denominator), not with q.  Should x sit so close to
-    an integer that the last doubling still straddles it, exact powers
-    (d^q N^p against (s * denominator)^q, O(q) big-integer work) decide
-    inside the bracket, so termination never rests on that distance.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    # x below 1/2 or above twice the denominator needs no power of N: an
-    # extreme alpha would otherwise raise N to a power of any size
-    log_x = (math.log2(s.numerator) - math.log2(s.denominator) + math.log2(denominator)
-             - float(alpha) * math.log2(N))
-    if log_x < -1:
-        return 0
-    if log_x > math.log2(denominator) + 1:
-        return denominator
-    p, q = alpha.numerator, alpha.denominator
-    r = _exact_root(N, q)
-    if r is not None:
-        x = s * denominator / Fraction(r) ** p
-        return min(denominator, x.numerator // x.denominator)
-    lo, hi, bits = 0, denominator, denominator.bit_length() + 64
-    for _ in range(_BRACKET_DOUBLINGS):
-        lo, hi = _floor_bracket(s, N, alpha, denominator, bits)
-        if lo >= denominator:
-            return denominator
-        if lo == hi:
-            return lo
-        bits *= 2
-    # d^q N^p <= (s * denominator)^q, with N^|p| on the side that keeps it whole
-    lhs = s.denominator ** q * N ** max(p, 0)
-    rhs = (s.numerator * denominator) ** q * N ** max(-p, 0)
-    lo, hi = max(lo, 0), min(hi, denominator)
-    while lo < hi:  # max d in [lo, hi] with d/denominator <= s/N^alpha
-        mid = (lo + hi + 1) // 2
-        if mid ** q * lhs <= rhs:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _to_exact(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -484,42 +406,3 @@ def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list, guard_ulps=
                 results.append(f_stat(prefix, s, alpha, guard_ulps=guard_ulps))
     return results
 
-
-def rescaling_identity_check(points, s, alpha1, alpha2) -> bool:
-    """Count at s/N^alpha2 equals count at (s N^(alpha1-alpha2))/N^alpha1.
-
-    Both thresholds are the same real number; computing each through the
-    shared high-precision rounding in threshold_from makes the identity
-    exact at finite N.  On rational batches the alpha1 route is a bisection
-    of its own over exact powers, kept independent of f_stat's threshold:
-    with q the lcm of the two alpha denominators it raises d to the q-th
-    power, so it still costs O(q) big-integer work per bisection step.
-    """
-    from .numutil import _MP_DPS, _as_mpf
-    if not _as_mpf(alpha1) >= _as_mpf(alpha2):
-        raise ValueError("need alpha1 >= alpha2")
-    n = len(points)
-    direct = f_stat(points, s, alpha2, guard_ulps=0)
-    if isinstance(points, RationalBatch):
-        import math
-        s1, a1, a2 = _to_exact(s), _to_exact(alpha1), _to_exact(alpha2)
-        den = points.modulus
-        # alpha1 route: threshold (s N^(a1-a2)) / N^a1, every power kept exact
-        r = math.lcm(a1.denominator, a2.denominator)
-        rhs = s1.numerator ** r * n ** int((a1 - a2) * r) * den ** r
-        lhs_const = n ** int(a1 * r) * s1.denominator ** r
-        lo, hi = 0, den
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid ** r * lhs_const <= rhs:
-                lo = mid
-            else:
-                hi = mid - 1
-        a_sorted, modulus = sorted_raw(points)
-        via_count = pair_count_fast(a_sorted, min(lo, modulus // 2), modulus,
-                                    presorted=a_sorted)
-        return via_count == direct.ordered_pair_count
-    with mpmath.workdps(_MP_DPS):
-        s_prime = _as_mpf(s) * mpmath.power(n, _as_mpf(alpha1) - _as_mpf(alpha2))
-        via = f_stat(points, s_prime, alpha1, guard_ulps=0)
-    return via.ordered_pair_count == direct.ordered_pair_count

@@ -16,8 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .numutil import (DEFAULT_PRECISION, RationalPoint, UnitPoint,
-                      _check_precision)
+from .numutil import DEFAULT_PRECISION, _check_precision
 
 # floor(frac(phi) * 2^192); frac(phi) = (sqrt(5) - 1) / 2
 _GOLDEN_BITS = 192
@@ -37,6 +36,13 @@ def golden_raw(precision=DEFAULT_PRECISION) -> int:
     return (_GOLDEN_FRAC_192 + (1 << (shift - 1))) >> shift
 
 
+def _nearest_raw(frac: Fraction, precision: int) -> int:
+    """{frac} rounded to the nearest point of the 2^P grid, as a raw value."""
+    frac %= 1
+    raw = (frac.numerator * (2 << precision) + frac.denominator) // (2 * frac.denominator)
+    return raw % (1 << precision)
+
+
 def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
     """Turn a rotation spec into a P-bit raw value of {z}.
 
@@ -49,18 +55,18 @@ def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
     if isinstance(z_spec, int):
         return z_spec % (1 << precision)
     if isinstance(z_spec, Fraction):
-        return UnitPoint.from_fraction(z_spec, precision).value
+        return _nearest_raw(z_spec, precision)
     if isinstance(z_spec, str):
         if "/" in z_spec:
-            return UnitPoint.from_fraction(Fraction(z_spec), precision).value
+            return _nearest_raw(Fraction(z_spec), precision)
         if "." not in z_spec:
-            return UnitPoint.from_fraction(Fraction(int(z_spec)), precision).value
+            return _nearest_raw(Fraction(int(z_spec)), precision)
         frac_digits = len(z_spec.split(".")[1])
         if frac_digits * math.log2(10) < precision + 8:
             raise ValueError(
                 f"decimal z needs >= {math.ceil((precision + 8) / math.log2(10))} "
                 f"fractional digits for precision {precision}, got {frac_digits}")
-        return UnitPoint.from_fraction(Fraction(z_spec), precision).value
+        return _nearest_raw(Fraction(z_spec), precision)
     raise TypeError(f"unsupported z spec: {z_spec!r}")
 
 
@@ -181,45 +187,12 @@ class RationalBatch(Batch):
         return FixedBatch(precision, (nums * scale * 2 + den) // (2 * den) % scale)
 
 
-def vdc(n: int, base: int = 2) -> RationalPoint:
-    """Radical inverse of n: reverse the base-b digits across the point."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    digits = 0
-    rev = 0
-    m = n
-    while m:
-        rev = rev * base + m % base
-        m //= base
-        digits += 1
-    return RationalPoint(rev, base, digits)
-
-
 def _num_digits(n: int, base: int) -> int:
     digits = 0
     while n:
         digits += 1
         n //= base
     return digits
-
-
-def kronecker(n: int, z_spec="golden", precision=DEFAULT_PRECISION) -> UnitPoint:
-    """{n z} on the fixed-point grid: (n * Z) mod 2^P."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    z = resolve_z(z_spec, precision)
-    return UnitPoint(n * z, precision)
-
-
-def sqrt_frac(n: int, precision=DEFAULT_PRECISION) -> UnitPoint:
-    """{sqrt(n)} within 1 ulp; perfect squares give exactly 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = math.isqrt(n)
-    if r * r == n:
-        return UnitPoint(0, precision)
-    whole = math.isqrt(n << (2 * precision))  # floor(sqrt(n) * 2^P)
-    return UnitPoint(whole - (r << precision), precision)
 
 
 def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatch:
@@ -260,7 +233,8 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     For vdc the batch is exact over the common denominator b^k (k = digits
     of the largest index) unless b^k exceeds the exact-mode cap, in which
     case a fixed-point batch is returned instead.  `start` offsets the
-    index range for kronecker/sqrt_frac (points n = start .. start+N-1).
+    index range: kronecker gives n = start .. start+N-1, sqrt_frac
+    n = start+1 .. start+N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -269,8 +243,10 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if spec.kind == "kronecker":
         return _kronecker_batch(spec.z_spec, start, N, spec.precision)
     if spec.kind == "sqrt_frac":
-        return FixedBatch(spec.precision, [sqrt_frac(n, spec.precision).value
-                                           for n in range(start + 1, start + N + 1)])
+        # floor(sqrt(n) 2^P) mod 2^P is floor({sqrt n} 2^P): 0 on perfect squares
+        P = spec.precision
+        return FixedBatch(P, [math.isqrt(n << 2 * P) & ((1 << P) - 1)
+                              for n in range(start + 1, start + N + 1)])
     return iid_uniform(N, spec.seed, spec.precision)
 
 

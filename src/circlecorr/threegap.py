@@ -1,4 +1,4 @@
-"""Gap structure of rotation orbits: census, prediction, window composition.
+"""Gap structure of rotation orbits: census, prediction, window large-gap counts.
 
 The census is purely empirical (exact raw gap lengths of a sorted batch);
 the prediction side derives the admissible gap lengths of {nz}, n = 1..N,
@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import cf as cfmod
-from .numutil import DEFAULT_PRECISION, circle_dist_raw
-from .paircorr import sorted_raw, window_counts
+from .numutil import DEFAULT_PRECISION, circle_dist_raw, threshold_from
+from .paircorr import min_pair_distance, sorted_raw, window_counts
 from .sequences import kronecker_orbit, resolve_z
 
 
@@ -166,18 +166,6 @@ def predict_gaps(z_spec, N: int, precision: int = DEFAULT_PRECISION,
     return GapPrediction(l1, l2, l1 + l2, k, m, r, modulus)
 
 
-@dataclass
-class IntervalComposition:
-    """Gap classes inside the window (x_n*, x_{n+k}*] of a sorted orbit."""
-
-    start_rank: int
-    width: int
-    small: int
-    large: int
-    other: int
-    expected_large: int
-
-
 def expected_large_gaps(k: int) -> int:
     """Digit-sum prediction sum b_i q_{i-1} for a window of k gaps.
 
@@ -194,32 +182,6 @@ def expected_large_gaps(k: int) -> int:
     if lowest % 2 == 0:
         g -= 1
     return g
-
-
-def interval_composition(points, n: int, k: int,
-                         classes_census=None) -> IntervalComposition:
-    """Count small/large gaps among the k gaps starting at sorted rank n.
-
-    ``points`` must be a golden-rotation orbit at a Fibonacci size (at most
-    two distinct gap lengths); ranks wrap modulo N with glued endpoints.
-    """
-    classes, census = classes_census if classes_census else gap_classes(points)
-    if len(census.lengths) > 3:
-        raise ValueError("more than three distinct gap lengths: not a rotation orbit")
-    total = len(classes)
-    if not 1 <= k <= total:
-        raise ValueError("window width must be in 1..N")
-    small = large = other = 0
-    for i in range(n, n + k):
-        c = classes[i % total]
-        if c == 0:
-            small += 1
-        elif c == 1:
-            large += 1
-        else:
-            other += 1
-    return IntervalComposition(n % total, k, small, large, other,
-                               expected_large_gaps(k))
 
 
 @dataclass
@@ -243,8 +205,6 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
     normalization includes the factor N of choices of l.  When the threshold
     undercuts the minimal gap the count is zero and the check is vacuous.
     """
-    from .numutil import threshold_from
-    from .paircorr import min_pair_distance
     if not 1 <= l <= N:
         raise ValueError("need 1 <= l <= N")
     orbit = kronecker_orbit("golden", N, precision=precision)

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from . import cf as cfmod
-from .numutil import _MP_DPS, threshold_from
+from .numutil import threshold_from
 from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
                        is_progression, pair_count_fast, pair_count_naive,
                        per_point_counts, rotation_counts, sorted_raw)
@@ -328,8 +328,8 @@ def suite_lemma12(h_final: int = 20, h_start: int = 10):
     for h in (10, 15, 20):
         n = cfmod.fibonacci(h)
         md = min_pair_distance(kronecker_orbit("golden", n))
-        with mpmath.workdps(_MP_DPS):
-            phi = (1 + mpmath.sqrt(5)) / 2
+        with mpmath.workdps(cfmod._GOLDEN_DPS):
+            phi = cfmod.phi_mpf()
             k = 1 / (phi * cfmod.fibonacci(h - 1) + cfmod.fibonacci(h - 2))
             # the grid rounding of phi drifts by up to one ulp per step n
             if abs(md / mpmath.mpf(2) ** 64 - k) > (n + 4) * mpmath.mpf(2) ** -64:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circlecorr.cf import (ContinuedFraction, cf_expand, fibonacci,
-                           golden_cf, golden_ostrowski, golden_phi_fraction,
-                           lemma11_ratio, lemma12_value, ostrowski, residue)
+                           golden_cf, golden_ostrowski, lemma11_ratio,
+                           lemma12_value, ostrowski)
 
 
 def test_expand_355_113():
@@ -67,17 +67,11 @@ def test_residue_bracket(z):
     for n in range(len(cf) - 1):
         q_n = cf.q[n]
         q_next = cf.q[n + 1]
-        r = residue(z, cf, n)
+        r = z - Fraction(cf.p[n], q_n)
         assert r != 0
         # sign alternates; magnitude between the classic bounds
         assert (r > 0) == (n % 2 == 0)
         assert Fraction(1, q_n * (q_next + q_n)) < abs(r) <= Fraction(1, q_n * q_next)
-
-
-def test_residue_rejects_out_of_range():
-    cf = cf_expand(Fraction(355, 113))
-    with pytest.raises(ValueError):
-        residue(Fraction(355, 113), cf, 5)
 
 
 # --- Ostrowski representations ---------------------------------------------
@@ -134,9 +128,3 @@ def test_lemma12_value_converges():
     with pytest.raises(ValueError):
         lemma12_value(1)
 
-
-def test_phi_fraction_accuracy():
-    phi = golden_phi_fraction(192)
-    assert abs(float(phi) - (1 + 5 ** 0.5) / 2) < 1e-15
-    # squares to phi + 1
-    assert abs(float(phi * phi - phi - 1)) < 1e-50

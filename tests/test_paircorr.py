@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlecorr import paircorr
+from circlecorr import numutil, paircorr
 from circlecorr.numutil import circle_dist_raw
 from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
                                  is_progression, min_pair_distance,
                                  pair_count_fast, pair_count_naive,
-                                 per_point_counts, rescaling_identity_check,
-                                 rotation_counts, sorted_raw)
+                                 per_point_counts, rotation_counts, sorted_raw)
 from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate,
                                   iid_uniform, kronecker_orbit)
 
@@ -334,20 +333,35 @@ def test_f_stat_profile_matches_single_cells():
         f_stat_profile(generate(spec, 256), [256, 64], [1], [1])
 
 
+def assert_rescaling_identity(batch, s, a1, a2):
+    # at N = r^4 and alphas in quarters, s N^(a1 - a2) is an exact Fraction and
+    # s N^(a1 - a2) / N^a1 is the same number as s / N^a2, so both cells agree
+    r = math.isqrt(math.isqrt(len(batch)))
+    assert r ** 4 == len(batch)
+    direct = f_stat(batch, s, a2, guard_ulps=0)
+    via = f_stat(batch, s * Fraction(r) ** int(4 * (a1 - a2)), a1, guard_ulps=0)
+    assert via.threshold == direct.threshold
+    assert via.ordered_pair_count == direct.ordered_pair_count
+
+
 @settings(deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=10, max_value=400))
-def test_rescaling_identity_fixed(seed, n):
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=2, max_value=5))
+def test_rescaling_identity_fixed(seed, r):
     rng = random.Random(seed)
-    batch = iid_uniform(n, seed)
+    batch = iid_uniform(r ** 4, seed)
     s = Fraction(rng.randint(1, 8), rng.randint(1, 4))
     a2 = Fraction(rng.randint(1, 4), 4)
     a1 = a2 + Fraction(rng.randint(0, 4), 4)
-    assert rescaling_identity_check(batch, s, a1, a2)
+    assert_rescaling_identity(batch, s, a1, a2)
 
 
 def test_rescaling_identity_exact_mode():
-    batch = generate(SequenceSpec("vdc", base=5), 625)
-    assert rescaling_identity_check(batch, Fraction(3, 2), Fraction(3, 4), Fraction(1, 4))
+    for base, r in ((5, 5), (2, 4), (3, 3)):
+        batch = generate(SequenceSpec("vdc", base=base), r ** 4)
+        for s, a1, a2 in ((Fraction(3, 2), Fraction(3, 4), Fraction(1, 4)),
+                          (Fraction(1), Fraction(1), Fraction(1, 2)),
+                          (Fraction(1, 3), Fraction(5, 4), Fraction(1, 4))):
+            assert_rescaling_identity(batch, s, a1, a2)
 
 
 # --- the exact rational threshold ------------------------------------------
@@ -390,7 +404,7 @@ def threshold_cases(draw):
 @settings(max_examples=400)
 @given(threshold_cases())
 def test_exact_threshold_matches_bisection(case):
-    assert paircorr._exact_threshold_numerator(*case) == bisect_threshold_numerator(*case)
+    assert numutil._exact_threshold_numerator(*case) == bisect_threshold_numerator(*case)
 
 
 @pytest.mark.parametrize("base", [2, 3, 5, 10])
@@ -402,7 +416,7 @@ def test_exact_threshold_on_thm6_ties(base):
         N = base ** k
         for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             for s in (Fraction(1, 2), Fraction(1), Fraction(2)):
-                d = paircorr._exact_threshold_numerator(s, N, alpha, N)
+                d = numutil._exact_threshold_numerator(s, N, alpha, N)
                 assert d == bisect_threshold_numerator(s, N, alpha, N)
                 if k % 4 == 0:
                     x = s * base ** int(k * (1 - alpha))
@@ -415,7 +429,7 @@ def test_exact_threshold_at_alpha_zero_and_one(alpha):
         for den in (2, 3 ** 7, 10 ** 9):
             for s in (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(10 ** 12)):
                 expect = min(den, int(s * den / N ** alpha))
-                assert paircorr._exact_threshold_numerator(s, N, alpha, den) == expect
+                assert numutil._exact_threshold_numerator(s, N, alpha, den) == expect
                 assert bisect_threshold_numerator(s, N, alpha, den) == expect
 
 
@@ -425,9 +439,9 @@ def test_exact_threshold_refines_near_an_integer():
     # so the precision must double once before the floor is settled
     third, tiny = Fraction(1, 3), Fraction(1, 10 ** 30)
     for alpha, expect in ((third - tiny, 100), (third + tiny, 99)):
-        with mock.patch.object(paircorr, "_floor_bracket",
-                               wraps=paircorr._floor_bracket) as spy:
-            assert paircorr._exact_threshold_numerator(Fraction(1), 1000, alpha, 1000) == expect
+        with mock.patch.object(numutil, "_floor_bracket",
+                               wraps=numutil._floor_bracket) as spy:
+            assert numutil._exact_threshold_numerator(Fraction(1), 1000, alpha, 1000) == expect
         assert spy.call_count == 2
 
 
@@ -435,7 +449,7 @@ def test_exact_threshold_decided_by_exact_powers():
     # when no interval settles floor x, exact powers decide inside the last
     # bracket: here each bracket is widened by 5 on both sides, and one
     # precision is tried, or none (then the range is all of [0, den])
-    real = paircorr._floor_bracket
+    real = numutil._floor_bracket
 
     def wide(*args):
         lo, hi = real(*args)
@@ -453,14 +467,14 @@ def test_exact_threshold_decided_by_exact_powers():
     # x = 3^40 sqrt(2) / 10 near 1.7e18, a float there would miss the floor
     neg = (Fraction(1, 10), 2, Fraction(-1, 2), 3 ** 40)
     neg_floor = math.isqrt(2 * 3 ** 80 // 100)
-    assert paircorr._exact_threshold_numerator(*neg) == neg_floor
+    assert numutil._exact_threshold_numerator(*neg) == neg_floor
     for doublings in (0, 1):
-        with mock.patch.object(paircorr, "_BRACKET_DOUBLINGS", doublings), \
-                mock.patch.object(paircorr, "_floor_bracket", wide):
+        with mock.patch.object(numutil, "_BRACKET_DOUBLINGS", doublings), \
+                mock.patch.object(numutil, "_floor_bracket", wide):
             for case in cases:
-                assert paircorr._exact_threshold_numerator(*case) == \
+                assert numutil._exact_threshold_numerator(*case) == \
                     bisect_threshold_numerator(*case)
-            assert paircorr._exact_threshold_numerator(*neg) == neg_floor
+            assert numutil._exact_threshold_numerator(*neg) == neg_floor
 
 
 def test_exact_threshold_at_extreme_alpha():
@@ -470,7 +484,7 @@ def test_exact_threshold_at_extreme_alpha():
     for alpha, expect in ((Fraction(10 ** 9), 0), (Fraction(-10 ** 9), 1000),
                           (Fraction(10 ** 9, 7), 0), (Fraction(400), 0)):
         start = time.perf_counter()
-        assert paircorr._exact_threshold_numerator(third, 1000, alpha, 1000) == expect
+        assert numutil._exact_threshold_numerator(third, 1000, alpha, 1000) == expect
         assert time.perf_counter() - start < 1.0
     assert bisect_threshold_numerator(third, 1000, Fraction(400), 1000) == 0
 
@@ -478,20 +492,20 @@ def test_exact_threshold_at_extreme_alpha():
 def test_exact_threshold_rejects_nonpositive_s():
     for s in (Fraction(0), Fraction(-1, 2)):
         with pytest.raises(ValueError):
-            paircorr._exact_threshold_numerator(s, 10, Fraction(1, 2), 100)
+            numutil._exact_threshold_numerator(s, 10, Fraction(1, 2), 100)
 
 
 def test_exact_root():
     for k in range(1, 70):
         for r in (1, 2, 3, 10, 12345):
             n = r ** k
-            assert paircorr._exact_root(n, k) == r
+            assert numutil._exact_root(n, k) == r
             if k > 1:
-                assert paircorr._exact_root(n + 1, k) is None
+                assert numutil._exact_root(n + 1, k) is None
                 if r > 1:
-                    assert paircorr._exact_root(n - 1, k) is None
-    assert paircorr._exact_root(10 ** 4, 10 ** 16) is None
-    assert paircorr._exact_root(1, 10 ** 16) == 1
+                    assert numutil._exact_root(n - 1, k) is None
+    assert numutil._exact_root(10 ** 4, 10 ** 16) is None
+    assert numutil._exact_root(1, 10 ** 16) == 1
 
 
 def test_f_stat_float_alpha_on_vdc_is_fast():

@@ -4,25 +4,48 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, SequenceSpec, generate,
-                                  golden_raw, iid_uniform, join_limbs, kronecker,
-                                  kronecker_orbit, resolve_z, split_limbs,
-                                  sqrt_frac, vdc)
+                                  golden_raw, iid_uniform, join_limbs, kronecker_orbit,
+                                  resolve_z, split_limbs)
 
 M64 = 1 << 64
+
+
+def vdc(n: int, base: int = 2) -> Fraction:
+    """Reference radical inverse of n: reverse the base-b digits across the point."""
+    digits = rev = 0
+    while n:
+        rev = rev * base + n % base
+        n //= base
+        digits += 1
+    return Fraction(rev, base ** digits)
+
+
+def vdc_points(base, N, include_zero=True):
+    batch = generate(SequenceSpec("vdc", base=base, include_zero=include_zero), N)
+    return [Fraction(int(v), batch.modulus) for v in batch.raw]
 
 
 def test_vdc_base2_first_points():
     expected = [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
                 Fraction(1, 8), Fraction(5, 8), Fraction(3, 8), Fraction(7, 8)]
-    assert [vdc(n, 2).to_fraction() for n in range(8)] == expected
+    assert vdc_points(2, 8) == expected
+    assert [vdc(n, 2) for n in range(8)] == expected
 
 
 def test_vdc_base10_digit_reversal():
-    assert vdc(123, 10).to_fraction() == Fraction(321, 1000)
-    assert vdc(190, 10).to_fraction() == Fraction(91, 1000)
+    points = vdc_points(10, 191)
+    assert points[123] == vdc(123, 10) == Fraction(321, 1000)
+    assert points[190] == vdc(190, 10) == Fraction(91, 1000)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 10, 3 ** 40, 2 ** 70]), st.integers(1, 300), st.booleans())
+def test_vdc_batch_matches_digit_reversal(base, N, include_zero):
+    start = 0 if include_zero else 1
+    assert vdc_points(base, N, include_zero) == [vdc(n, base) for n in range(start, start + N)]
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=4))
@@ -58,7 +81,9 @@ def test_resolve_z_short_decimal_rejected():
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_kronecker_is_homomorphism(m, n):
-    assert kronecker(m) + kronecker(n) == kronecker(m + n)
+    def point(k):
+        return int(generate(SequenceSpec("kronecker"), 1, start=k).raw[0])
+    assert (point(m) + point(n)) % M64 == point(m + n)
 
 
 def test_kronecker_batch_matches_scalar():
@@ -76,20 +101,20 @@ def test_kronecker_orbit_starts_at_one():
 
 @given(st.integers(min_value=1, max_value=10 ** 9))
 def test_sqrt_frac_within_one_ulp(n):
-    p = sqrt_frac(n)
+    value = int(generate(SequenceSpec("sqrt_frac"), 1, start=n - 1).raw[0])
     r = math.isqrt(n)
     if r * r == n:
-        assert p.value == 0
+        assert value == 0
     else:
         with mpmath.workdps(50):
             exact = (mpmath.sqrt(n) % 1) * M64
-            assert 0 <= exact - p.value <= 1  # floor of the true value
+            assert 0 <= exact - value <= 1  # floor of the true value
 
 
 def test_sqrt_frac_precision_128():
-    p = sqrt_frac(2, precision=128)
+    value = int(generate(SequenceSpec("sqrt_frac", precision=128), 1, start=1).raw[0])
     # floor(sqrt(2) * 2^128) mod 2^128
-    assert p.value == math.isqrt(2 << 256) - (1 << 128)
+    assert value == math.isqrt(2 << 256) - (1 << 128)
 
 
 def test_iid_deterministic():

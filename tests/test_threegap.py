@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from circlecorr.cf import ContinuedFraction, fibonacci
 from circlecorr.sequences import FixedBatch, kronecker_orbit
 from circlecorr.threegap import (expected_large_gaps, gap_census, gap_classes,
-                                 gap_decomposition, interval_composition,
-                                 lemma9_bounds_check, predict_gaps)
+                                 gap_decomposition, lemma9_bounds_check,
+                                 predict_gaps)
 
 M64 = 1 << 64
 
@@ -116,24 +116,6 @@ def test_expected_large_gaps_pure_windows():
     for m in range(3, 12):
         g = expected_large_gaps(fibonacci(m))
         assert g in (fibonacci(m - 1) - 1, fibonacci(m - 1))
-
-
-def test_interval_composition_brute_force():
-    n = 89
-    orbit = kronecker_orbit("golden", n)
-    classes, census = gap_classes(orbit)
-    for k in (1, 2, 3, 8, 21, 34, 88):
-        for start in range(0, n, 7):
-            comp = interval_composition(orbit, start, k, (classes, census))
-            assert comp.small + comp.large + comp.other == k
-            assert comp.large in (comp.expected_large, comp.expected_large + 1)
-            assert comp.other == 0
-
-
-def test_interval_composition_validates_width():
-    orbit = kronecker_orbit("golden", 13)
-    with pytest.raises(ValueError):
-        interval_composition(orbit, 0, 14)
 
 
 def test_lemma9_check_bounds():
