@@ -3,31 +3,31 @@
 Exact fixed-point circle arithmetic, low-discrepancy generators,
 the alpha-pair-correlation statistic, continued fraction / Ostrowski
 utilities, three-gap analysis and named verification suites.
+
+A public name is imported from its module on first access (PEP 562), so
+importing the package loads none of its modules.
 """
 
-from .cf import (ContinuedFraction, OstrowskiRep, cf_expand, fibonacci,
-                 golden_cf, golden_ostrowski, lemma11_ratio, lemma12_value,
-                 ostrowski)
-from .numutil import (DEFAULT_GUARD_ULPS, DEFAULT_PRECISION, CircleDistance,
-                      Threshold, threshold_from)
-from .paircorr import (PairCountResult, f_stat, f_stat_profile,
-                       min_pair_distance, pair_count_fast, pair_count_naive)
-from .sequences import (FixedBatch, RationalBatch, SequenceSpec, generate,
-                        iid_uniform, kronecker_orbit)
-from .threegap import (GapCensus, GapPrediction, gap_census, gap_classes,
-                       lemma9_bounds_check, predict_gaps)
-from .verify import VerificationReport, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircleDistance", "ContinuedFraction", "DEFAULT_GUARD_ULPS",
-    "DEFAULT_PRECISION", "FixedBatch", "GapCensus", "GapPrediction",
-    "OstrowskiRep", "PairCountResult", "RationalBatch", "SequenceSpec",
-    "Threshold", "VerificationReport", "cf_expand", "f_stat",
-    "f_stat_profile", "fibonacci", "gap_census", "gap_classes", "generate",
-    "golden_cf", "golden_ostrowski", "iid_uniform", "kronecker_orbit",
-    "lemma11_ratio", "lemma12_value", "lemma9_bounds_check",
-    "min_pair_distance", "ostrowski", "pair_count_fast", "pair_count_naive",
-    "predict_gaps", "run_suite", "threshold_from",
-]
+_MODULES = {
+    "cf": "ContinuedFraction OstrowskiRep cf_expand fibonacci golden_cf golden_ostrowski "
+          "lemma11_ratio lemma12_value ostrowski",
+    "numutil": "CircleDistance DEFAULT_GUARD_ULPS DEFAULT_PRECISION Threshold threshold_from",
+    "paircorr": "PairCountResult f_stat f_stat_profile min_pair_distance pair_count_fast "
+                "pair_count_naive",
+    "sequences": "FixedBatch RationalBatch SequenceSpec generate iid_uniform kronecker_orbit",
+    "threegap": "GapCensus GapPrediction gap_census gap_classes lemma9_bounds_check predict_gaps",
+    "verify": "VerificationReport run_suite",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

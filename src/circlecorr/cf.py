@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import mpmath
-
 _GOLDEN_DPS = 80  # decimal digits for closed forms in the golden mean
 
 
@@ -122,6 +120,7 @@ def fibonacci(h: int) -> int:
 
 
 def phi_mpf():
+    import mpmath  # only the golden closed forms need it
     return (1 + mpmath.sqrt(5)) / 2
 
 
@@ -237,6 +236,7 @@ def lemma12_value(h: int):
     """(1 + 1/phi^2) * ||q_{h-1} phi|| * q_h on the Fibonacci ladder (-> 1)."""
     if h < 2:
         raise ValueError("h must be >= 2")
+    import mpmath
     q_h, q_h1, q_h2 = fibonacci(h), fibonacci(h - 1), fibonacci(h - 2)
     with mpmath.workdps(_GOLDEN_DPS):
         phi = phi_mpf()

@@ -5,7 +5,8 @@ grid (P = 64 or 128), where addition modulo 2^P is addition modulo 1, or
 b^k for exact van der Corput batches.  The threshold s/N^alpha is decided
 exactly on every modulus: _exact_threshold_numerator floors it against any
 denominator, and threshold_from rounds it to the nearest point of the 2^P
-grid through that floor.
+grid through that floor: an integer q-th root for alpha = p/q with a small
+q, else an mpmath interval bracket, so mpmath is imported only for those.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-from mpmath import iv
-from mpmath.libmp import to_int
-
 DEFAULT_PRECISION = 64
 SUPPORTED_PRECISIONS = (64, 128)
 DEFAULT_GUARD_ULPS = 4
 _BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
+_ROOT_BITS = 4096  # largest power, in bits, that _root_floor takes instead of the bracket
 
 
 def _check_precision(precision):
@@ -41,9 +39,6 @@ class CircleDistance:
         _check_precision(self.precision)
         if not 0 <= self.value <= 1 << (self.precision - 1):
             raise ValueError("circle distance must lie in [0, 1/2]")
-
-    def to_fraction(self):
-        return Fraction(self.value, 1 << self.precision)
 
     def __float__(self):
         return self.value / (1 << self.precision)
@@ -64,26 +59,50 @@ class Threshold:
     degenerate: bool  # true when s/N^alpha >= 1/2: every pair counts
 
 
-def _exact_root(n: int, k: int) -> Optional[int]:
-    """The integer r with r^k == n (n >= 1, k >= 1), or None when there is none."""
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, k >= 1, by integer Newton from above the root."""
     if k > n.bit_length():  # any r >= 2 has r^k >= 2^k > n
-        return 1 if n == 1 else None
-    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton descends to it
+        return min(n, 1)
+    # 2^(log2(n)/k) raised by 2^-20, more than the float error while n < 2^(2^32)
+    e = math.log2(n) / k
+    shift = max(int(e) - 60, 0)
+    r = (int(2 ** (e - shift) * (1 + 2 ** -20)) + 1) << shift
     while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
         r = y
+    return r
+
+
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """The integer r with r^k == n (n >= 1, k >= 1), or None when there is none."""
+    r = _iroot(n, k)
     return r if r ** k == n else None
+
+
+def _root_floor(s: Fraction, N: int, alpha: Fraction, denominator: int) -> Optional[int]:
+    """floor(s * denominator / N^alpha) by one integer root, or None past _ROOT_BITS.
+
+    With alpha = p/q, x^q = A/B for A = (s_n denominator)^q N^max(-p, 0) and
+    B = s_d^q N^max(p, 0), and an integer k >= 0 has k <= x iff k^q <= floor(A/B).
+    """
+    p, q = alpha.numerator, alpha.denominator
+    num = s.numerator * denominator
+    if q * max(num, s.denominator).bit_length() + abs(p) * N.bit_length() > _ROOT_BITS:
+        return None
+    return _iroot(num ** q * N ** max(-p, 0) // (s.denominator ** q * N ** max(p, 0)), q)
 
 
 def _floor_bracket(s: Fraction, N: int, alpha: Fraction, denominator: int,
                    bits: int) -> tuple:
     """(floor lo, floor hi) of an interval [lo, hi] that holds s * denominator / N^alpha."""
+    from mpmath import iv, ldexp  # interval arithmetic, needed only past _ROOT_BITS
+    from mpmath.libmp import to_int
     saved, iv.prec = iv.prec, bits
     try:
         x = iv.mpf(s.numerator * denominator) / (
             iv.mpf(s.denominator) * iv.mpf(N) ** (iv.mpf(alpha.numerator) / alpha.denominator))
         # mpmath rounds the ends of exp and log from a few guard bits, so an
         # end may sit an ulp inside; widening by 2^8 ulps keeps x enclosed
-        eps = mpmath.ldexp(1, 8 - bits)
+        eps = ldexp(1, 8 - bits)
         x *= 1 + iv.mpf([-eps, eps])
     finally:
         iv.prec = saved
@@ -93,14 +112,14 @@ def _floor_bracket(s: Fraction, N: int, alpha: Fraction, denominator: int,
 def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator: int) -> int:
     """Largest d <= denominator with d/denominator <= s/N^alpha, decided exactly.
 
-    That is min(denominator, floor x) for x = s * denominator / N^alpha.  With
-    alpha = p/q in lowest terms, N^alpha is rational only when N is a perfect
-    q-th power r^q, and then x = s * denominator / r^p is floored as a
-    Fraction.  Otherwise x is irrational, so never an integer, and an
-    interval enclosure settles floor x as soon as both ends share a floor:
-    it starts at the denominator's bit length plus 64 bits and doubles.  The
-    cost grows with log2(denominator), not with q.  Should x sit so close to
-    an integer that the last doubling still straddles it, exact powers
+    That is min(denominator, floor x) for x = s * denominator / N^alpha, with
+    alpha = p/q in lowest terms.  While x^q fits _ROOT_BITS, _root_floor takes
+    floor x as one integer q-th root.  Past that, N^alpha is rational only for
+    N = r^q, and then x = s * denominator / r^p is floored as a Fraction.
+    Otherwise x is irrational, so never an integer, and an interval enclosure
+    settles floor x once both ends share a floor: it starts at the bit length
+    of the denominator plus 64 and doubles, so the cost grows with that, not
+    with q.  Should the last doubling still straddle an integer, exact powers
     (d^q N^p against (s * denominator)^q, O(q) big-integer work) decide
     inside the bracket, so termination never rests on that distance.
     """
@@ -114,6 +133,8 @@ def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator
         return 0
     if log_x > math.log2(denominator) + 1:
         return denominator
+    if (d := _root_floor(s, N, alpha, denominator)) is not None:
+        return min(denominator, d)
     p, q = alpha.numerator, alpha.denominator
     r = _exact_root(N, q)
     if r is not None:

@@ -345,6 +345,15 @@ def test_cap_enforced(capsys):
     assert "cap" in err
 
 
+def test_negative_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "10", "--max-points", "-1"])
+    assert exc.value.code == 2
+    assert "--max-points" in capsys.readouterr().err
+    code, _, err = run_cli(["gen", "--n", "10", "--max-points", "0"], capsys)
+    assert code == 2 and "cap 0" in err
+
+
 @pytest.mark.parametrize("bad", ["abc", "Infinity", "NaN"])
 def test_malformed_points_csv_is_usage_error(bad, tmp_path):
     path = tmp_path / "bad.csv"
@@ -438,6 +447,39 @@ def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_verify_choices_are_the_suites():
+    from circlecorr import verify
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == sorted(verify.SUITES) + ["all"]
+
+
+def modules_after(argv, cwd):
+    """The circlecorr modules and mpmath loaded by a fresh child after cli.main(argv)."""
+    code = ("import sys\n"
+            "from circlecorr import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(*sorted(m for m in sys.modules if m == 'mpmath' or m.startswith('circlecorr.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    unused = {"mpmath", "circlecorr.verify", "circlecorr.threegap", "circlecorr.cf"}
+    for argv in ("fstat --seq vdc --base 2 --n 16384 --alpha 0.25 --s 1 --out v.csv",
+                 "gen --seq iid --n 1000 --out F", "fstat --points F --n 1000 --out f.csv"):
+        loaded = modules_after(argv.split(), tmp_path)
+        assert "circlecorr.paircorr" in loaded or argv.startswith("gen")
+        assert loaded & unused == set(), argv
+    loaded = modules_after(["cf", "1/2", "--out", "cf.csv"], tmp_path)
+    assert "circlecorr.cf" in loaded
+    assert loaded & {"mpmath", "circlecorr.verify", "circlecorr.threegap"} == set()
+    # alpha = 0.9 is 8106479329266893/2^53: its floor needs the interval bracket
+    loaded = modules_after("fstat --n 987 --alpha 0.9 --out g.csv".split(), tmp_path)
+    assert "mpmath" in loaded and "circlecorr.verify" not in loaded
 
 
 def test_entry_point_installed():

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlecorr import numutil
 from circlecorr.numutil import CircleDistance, circle_dist_raw, threshold_from
 from circlecorr.paircorr import f_stat, pair_count_fast
 from circlecorr.sequences import RationalBatch, SequenceSpec, generate, iid_uniform, resolve_z
@@ -164,11 +166,24 @@ def test_threshold_ties_round_to_even(N, alpha, root, precision):
     # tie right; at 27^(2/3), 4096^(5/6) or (10^6)^(1/3) its last-digit error
     # picks the side instead.  Among them: N = 4, alpha = 1/2, s = 3 2^-64
     # gives raw 2 (k = 1), and N = 1, alpha = 1, s = 5 2^-65 gives raw 2 (k = 2)
+    # Each tie is decided twice: by the integer root, and with the bit budget
+    # at 0 by the exact-root fraction that larger alpha denominators take
     dyadic = Fraction(alpha).denominator in (1, 2, 4)
-    for k in range(8):
-        s = Fraction((2 * k + 1) * root, 2 << precision)
-        thr = threshold_from(s, N, alpha, precision=precision)
-        assert (thr.distance.value, thr.degenerate) == (k + k % 2, False)
-        if dyadic:
-            assert reference_threshold(s, N, alpha, precision) == (k + k % 2, False)
+    real, roots = numutil._root_floor, []
+
+    def spy(*args):
+        roots.append(real(*args))
+        return roots[-1]
+
+    for budget in (numutil._ROOT_BITS, 0):
+        roots.clear()
+        with mock.patch.object(numutil, "_ROOT_BITS", budget), \
+                mock.patch.object(numutil, "_root_floor", spy):
+            for k in range(8):
+                s = Fraction((2 * k + 1) * root, 2 << precision)
+                thr = threshold_from(s, N, alpha, precision=precision)
+                assert (thr.distance.value, thr.degenerate) == (k + k % 2, False)
+                if dyadic:
+                    assert reference_threshold(s, N, alpha, precision) == (k + k % 2, False)
+        assert len(roots) == 8 and (None not in roots if budget else set(roots) == {None})
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -6,9 +7,10 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circlecorr import numutil, paircorr
 from circlecorr.numutil import circle_dist_raw
@@ -386,25 +388,83 @@ def bisect_threshold_numerator(s, N, alpha, denominator):
     return lo
 
 
+def reference_numerator(s, N, alpha, denominator):
+    """bisect_threshold_numerator where q is small; for large q, N = 1 or a 600-bit floor.
+
+    At N = 1, x = s * den exactly.  Otherwise N^alpha with a large q is
+    irrational, and x sits farther than 2^-400 from an integer on every
+    drawn cell (the test assumes it), so a 600-bit mpmath value floors it.
+    """
+    if alpha.denominator <= 12:
+        return bisect_threshold_numerator(s, N, alpha, denominator)
+    if N == 1:
+        return min(denominator, s.numerator * denominator // s.denominator)
+    with mpmath.workprec(600):
+        x = (mpmath.mpf(s.numerator) * denominator / s.denominator
+             / mpmath.power(N, mpmath.mpf(alpha.numerator) / alpha.denominator))
+        assume(abs(x - mpmath.nint(x)) > mpmath.ldexp(1, -400))
+        return min(denominator, max(0, int(mpmath.floor(x))))
+
+
+@contextlib.contextmanager
+def threshold_route(route):
+    """Force the integer-root route ("root", the default budget) or the bracket ("bracket").
+
+    Yields (roots, brackets): what each _root_floor call returned, and the
+    argument tuples of each _floor_bracket call.
+    """
+    roots, brackets = [], []
+    real_root, real_bracket = numutil._root_floor, numutil._floor_bracket
+
+    def root_spy(*args):
+        roots.append(real_root(*args))
+        return roots[-1]
+
+    def bracket_spy(*args):
+        brackets.append(args)
+        return real_bracket(*args)
+
+    budget = numutil._ROOT_BITS if route == "root" else 0
+    with mock.patch.object(numutil, "_ROOT_BITS", budget), \
+            mock.patch.object(numutil, "_root_floor", root_spy), \
+            mock.patch.object(numutil, "_floor_bracket", bracket_spy):
+        yield roots, brackets
+
+
 @st.composite
 def threshold_cases(draw):
     # moduli b^k, alpha denominators up to 12, N both perfect powers of the
     # base (where ties s * den / N^alpha in Z occur) and arbitrary, and s
-    # large enough that x = s * den / N^alpha passes the denominator
+    # large enough that x = s * den / N^alpha passes the denominator.  Large
+    # alpha denominators too, past the integer root: float alphas (q = 2^k)
+    # and 0.33333 (q = 10^5) take the bracket, and at N = 1 (N^alpha = 1 for
+    # every q) the exact-root fraction
     base = draw(st.sampled_from([2, 3, 10]))
     denominator = base ** draw(st.integers(1, 14))
     N = draw(st.one_of(st.integers(1, 10 ** 6),
-                       st.builds(pow, st.just(base), st.integers(0, 14))))
+                       st.builds(pow, st.just(base), st.integers(0, 14)), st.just(1)))
     q = draw(st.integers(1, 12))
-    alpha = Fraction(draw(st.integers(0, q)), q)
+    alpha = draw(st.one_of(st.builds(Fraction, st.integers(0, q), st.just(q)),
+                           st.builds(Fraction, st.floats(1e-3, 1)),
+                           st.just(Fraction("0.33333"))))
     s = Fraction(draw(st.integers(1, 10 ** 7)), draw(st.integers(1, 1000)))
     return s, N, alpha, denominator
 
 
-@settings(max_examples=400)
+@settings(max_examples=400, deadline=None)
 @given(threshold_cases())
 def test_exact_threshold_matches_bisection(case):
-    assert numutil._exact_threshold_numerator(*case) == bisect_threshold_numerator(*case)
+    s, N, alpha, denominator = case
+    expect = reference_numerator(*case)
+    for route in ("root", "bracket"):
+        with threshold_route(route) as (roots, brackets):
+            assert numutil._exact_threshold_numerator(*case) == expect
+        if route == "root" and alpha.denominator <= 12:
+            assert None not in roots and brackets == []
+        else:
+            assert set(roots) <= {None}
+            if roots and numutil._exact_root(N, alpha.denominator) is None:
+                assert brackets
 
 
 @pytest.mark.parametrize("base", [2, 3, 5, 10])
@@ -412,15 +472,21 @@ def test_exact_threshold_on_thm6_ties(base):
     # N = b^k with alpha in {1/4, 1/2, 3/4}: whenever 4 | k, N^(1 - alpha) is
     # an integer, so at den = N the threshold s N^(1 - alpha) is rational and,
     # for s in {1, 2}, a tie d/den = s/N^alpha
-    for k in range(1, 13):
-        N = base ** k
-        for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            for s in (Fraction(1, 2), Fraction(1), Fraction(2)):
-                d = numutil._exact_threshold_numerator(s, N, alpha, N)
-                assert d == bisect_threshold_numerator(s, N, alpha, N)
-                if k % 4 == 0:
-                    x = s * base ** int(k * (1 - alpha))
-                    assert d == min(N, x.numerator // x.denominator)
+    for route in ("root", "bracket"):
+        with threshold_route(route) as (roots, brackets):
+            for k in range(1, 13):
+                N = base ** k
+                for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                    for s in (Fraction(1, 2), Fraction(1), Fraction(2)):
+                        d = numutil._exact_threshold_numerator(s, N, alpha, N)
+                        assert d == bisect_threshold_numerator(s, N, alpha, N)
+                        if k % 4 == 0:
+                            x = s * base ** int(k * (1 - alpha))
+                            assert d == min(N, x.numerator // x.denominator)
+        if route == "root":
+            assert roots and None not in roots and brackets == []
+        else:
+            assert set(roots) == {None} and brackets
 
 
 @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1)])
@@ -468,13 +534,22 @@ def test_exact_threshold_decided_by_exact_powers():
     neg = (Fraction(1, 10), 2, Fraction(-1, 2), 3 ** 40)
     neg_floor = math.isqrt(2 * 3 ** 80 // 100)
     assert numutil._exact_threshold_numerator(*neg) == neg_floor
+    expect = [bisect_threshold_numerator(*case) for case in cases] + [neg_floor]
+    cases.append(neg)
     for doublings in (0, 1):
-        with mock.patch.object(numutil, "_BRACKET_DOUBLINGS", doublings), \
-                mock.patch.object(numutil, "_floor_bracket", wide):
-            for case in cases:
-                assert numutil._exact_threshold_numerator(*case) == \
-                    bisect_threshold_numerator(*case)
-            assert numutil._exact_threshold_numerator(*neg) == neg_floor
+        # the bit budget forces the bracket, which the integer root would bypass
+        with threshold_route("bracket") as (roots, _), \
+                mock.patch.object(numutil, "_BRACKET_DOUBLINGS", doublings), \
+                mock.patch.object(numutil, "_floor_bracket", wraps=wide) as widened:
+            bracketed = 0
+            for case, d in zip(cases, expect):
+                reached = len(roots)
+                assert numutil._exact_threshold_numerator(*case) == d
+                # past the early outs, all but the perfect powers take one bracket
+                bracketed += len(roots) > reached and \
+                    numutil._exact_root(case[1], case[2].denominator) is None
+        assert widened.call_count == bracketed * doublings
+        assert bracketed >= 50
 
 
 def test_exact_threshold_at_extreme_alpha():
@@ -506,6 +581,21 @@ def test_exact_root():
                     assert numutil._exact_root(n - 1, k) is None
     assert numutil._exact_root(10 ** 4, 10 ** 16) is None
     assert numutil._exact_root(1, 10 ** 16) == 1
+
+
+def test_iroot_is_the_floor_root():
+    # Newton starts just above 2^(log2(n)/k); it must land on the floor from
+    # any n, also one below, at and above a perfect power with a large root
+    rng = random.Random(5)
+    cases = [(0, 1), (0, 3), (1, 1), (1, 7), (2, 1), (7, 2)]
+    for _ in range(1000):
+        k = rng.randint(1, 80)
+        cases.append((rng.getrandbits(rng.randint(1, 5000)), k))
+        r = rng.getrandbits(rng.randint(1, 400)) + 2
+        cases += [(r ** k - 1, k), (r ** k, k), (r ** k + 1, k)]
+    for n, k in cases:
+        r = numutil._iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
 
 
 def test_f_stat_float_alpha_on_vdc_is_fast():
