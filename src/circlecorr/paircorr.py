@@ -7,7 +7,7 @@ difference sum.  On the 2^128 grid the kernel searches uint64 limbs: the
 high limb places each window end, and the low limb settles it only inside
 a run of equal high limbs.  f_stat counts a fixed-point cell in one kernel
 pass and finds the guard band from the points next to each window end.
-The naive path tests every pair, in strips of the distance matrix, as an
+The naive path tests every pair, in strips of cyclic offsets, as an
 independent oracle.  Thresholds come from numutil, decided exactly: floored
 against the denominator on rational batches, rounded to the nearest grid
 point on fixed-point batches.
@@ -31,7 +31,9 @@ _FULL128 = 1 << 128
 _MASK64 = _FULL64 - 1
 _BLOCK = 1 << 13  # queries per window-kernel step, which bounds its temporaries
 _DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
-_STRIP_CELLS = 1 << 16  # distance cells per pair_count_naive strip
+# distance cells per pair_count_naive strip: below N = 4096 each buffer stays
+# under glibc's 128 KB mmap threshold, so calls reuse heap, not fresh pages
+_STRIP_CELLS = 3 << 12
 
 
 # --- naive oracle ----------------------------------------------------------
@@ -44,11 +46,17 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     [0, modulus) (then ``modulus`` is required).  One formula serves every
     modulus: |x - y| = max(x, y) - min(x, y) never wraps, on uint64 up to
     2^64 and on object arrays above, and a pair is close iff |x - y| <= t,
-    or t > 0 and |x - y| >= modulus - t.  Strips of rows are tested against
-    the columns from the strip's start on and only pairs j > i count, so a
-    strip holds about _STRIP_CELLS cells and memory stays O(N) beyond
-    N = _STRIP_CELLS.  Kept deliberately independent of the window kernel:
-    no sort and no search.
+    or t > 0 and |x - y| >= modulus - t.
+
+    Pairs are enumerated by cyclic offset: with S_k the number of i with
+    a[i] close to a[(i + k) mod N], and S_k = S_(N-k), the ordered count is
+    2 (S_1 + ... + S_h) for h = N // 2, less S_h when N is even.  A strip of
+    offsets lies in rows of N + 1 cells: a ++ [a[0]] tiled once per row
+    against a contiguous slice of a tiled, so no operand is broadcast; the
+    extra column repeats column 0 and is subtracted.  Buffers of about
+    _STRIP_CELLS cells are allocated once per call, so memory stays O(N)
+    beyond N = _STRIP_CELLS.  Kept deliberately independent of the window
+    kernel: no sort and no search.
     """
     if modulus is None:
         raw, modulus = points.raw, points.modulus
@@ -61,19 +69,27 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     if 2 * t >= modulus:
         return n * (n - 1)
     a = np.asarray(raw, dtype=object if modulus > _FULL64 else np.uint64)
-    rows = max(1, _STRIP_CELLS // n)
-    upper = 0
-    for start in range(0, n, rows):
-        x, y = a[start:start + rows, None], a[None, start:]
-        dist = np.maximum(x, y)
-        dist -= np.minimum(x, y)
-        close = dist <= t
+    half, width = n // 2, n + 1
+    rows = max(1, min(half, _STRIP_CELLS // width))
+    x = np.tile(np.concatenate([a, a[:1]]), rows)
+    # row r of the strip at offset k is shifted[k + r (N + 1):][:N] = a rotated
+    # by k + r; k + rows <= N, so rows + 1 copies hold every slice
+    shifted = np.tile(a, rows + 1)
+    dist, low = np.empty_like(x), np.empty_like(x)
+    close, far = np.empty(len(x), bool), np.empty(len(x), bool)
+    total = 0
+    for k in range(1, half + 1, rows):
+        cells = min(rows, half + 1 - k) * width
+        y, d, c = shifted[k:k + cells], dist[:cells], close[:cells]
+        np.maximum(x[:cells], y, out=d)
+        d -= np.minimum(x[:cells], y, out=low[:cells])
+        np.less_equal(d, t, out=c)
         if t:  # modulus - t fits in uint64 once t >= 1
-            close |= dist >= modulus - t
-        # j > i: the strict upper triangle of the leading square, then every later column
-        h = len(x)
-        upper += np.count_nonzero(np.triu(close[:, :h], 1)) + np.count_nonzero(close[:, h:])
-    return 2 * upper
+            c |= np.greater_equal(d, modulus - t, out=far[:cells])
+        total += np.count_nonzero(c) - np.count_nonzero(c[n::width])
+    if n % 2 == 0:  # the last row, offset N/2, is its own mirror
+        return 2 * total - np.count_nonzero(c[cells - width:cells - 1])
+    return 2 * total
 
 
 # --- the window kernel -----------------------------------------------------

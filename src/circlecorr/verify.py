@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import cf as cfmod
-from .numutil import threshold_from
+from .numutil import _exact_threshold_numerator, threshold_from
 from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
                        is_progression, pair_count_fast, pair_count_naive,
                        per_point_counts, rotation_counts, sorted_raw)
@@ -156,8 +155,12 @@ def _thm6_bounds_hold(count: int, n: int, s: Fraction, alpha: Fraction) -> bool:
 
 @_timed
 def suite_thm6(n_cap: int = 2 * 10 ** 6):
-    """Exact van der Corput bracket 2s - 2N^(alpha-1) <= F <= 2s at N = b^n."""
+    """Exact van der Corput bracket 2s - 2N^(alpha-1) <= F <= 2s at N = b^n.
+
+    Every cell's count is also checked against the closed form of the grid.
+    """
     report = VerificationReport("thm6")
+    grid_cells, grid_mismatches = 0, []
     for b, n_range in _THM6_RANGES.items():
         ns = [b ** n_exp for n_exp in n_range if b ** n_exp <= n_cap]
         cells = list(itertools.product(ns, _THM6_ALPHAS, _THM6_S))
@@ -168,6 +171,15 @@ def suite_thm6(n_cap: int = 2 * 10 ** 6):
         report.add(f"base {b}: exact bracket over {len(cells)} (N, alpha, s) cells",
                    "0 violations", f"{len(violations)} violations", "exact",
                    not violations)
+        # with zero included, N = b^n points are the grid {j/N}: each has
+        # min(2 floor(tN), N - 1) neighbours within t
+        grid_cells += len(cells)
+        grid_mismatches += [(n, alpha, s) for (n, alpha, s), res in zip(cells, results)
+                            if res.ordered_pair_count != n * min(
+                                2 * _exact_threshold_numerator(s, n, alpha, n), n - 1)]
+    report.add(f"closed form N min(2 floor(tN), N - 1) on the grid {{j/N}} over "
+               f"{grid_cells} cells", "0 mismatches", f"{len(grid_mismatches)} mismatches",
+               "exact", not grid_mismatches)
     # non-Poissonian witness: minimal spacing 1/N at N = 2^n kills alpha = 1
     ns = [2 ** n_exp for n_exp in range(3, 21)]
     results = f_stat_profile(generate(SequenceSpec("vdc", base=2), ns[-1]),
@@ -313,6 +325,8 @@ def suite_lemma11(draws: int = 100, seed: int = 11):
 
 @_timed
 def suite_lemma12(h_final: int = 20, h_start: int = 10):
+    import mpmath  # no other suite needs it
+
     report = VerificationReport("lemma12")
     values = [cfmod.lemma12_value(h) for h in range(h_start, h_final + 1)]
     final_err = abs(values[-1] - 1)

@@ -480,6 +480,9 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     # alpha = 0.9 is 8106479329266893/2^53: its floor needs the interval bracket
     loaded = modules_after("fstat --n 987 --alpha 0.9 --out g.csv".split(), tmp_path)
     assert "mpmath" in loaded and "circlecorr.verify" not in loaded
+    # only the lemma12 suite needs mpmath
+    loaded = modules_after(["verify", "threegap", "--out", "r.txt"], tmp_path)
+    assert "circlecorr.verify" in loaded and "mpmath" not in loaded
 
 
 def test_entry_point_installed():

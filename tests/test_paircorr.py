@@ -68,7 +68,7 @@ def test_counting_on_odd_modulus(case):
 
 @st.composite
 def strip_cases(draw):
-    # up to 60 values from a small pool, strips of 1 to 4 rows
+    # up to 60 values from a small pool, strips of 1 to 4 offsets
     modulus = draw(st.sampled_from(MODULI + [2, 2 ** 63]))
     pool = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=20))
     vals = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60))
@@ -77,22 +77,73 @@ def strip_cases(draw):
     return vals, t, modulus, draw(st.integers(1, 4))
 
 
+def naive_with_strips(vals, t, modulus, offsets):
+    """pair_count_naive with strips of the given number of offsets (rows of N + 1)."""
+    with mock.patch.object(paircorr, "_STRIP_CELLS", offsets * (len(vals) + 1)):
+        return pair_count_naive(vals, t, modulus=modulus)
+
+
 @given(strip_cases())
 def test_naive_strip_boundaries(case):
     vals, t, modulus, rows = case
-    with mock.patch.object(paircorr, "_STRIP_CELLS", rows * len(vals)):
-        assert pair_count_naive(vals, t, modulus=modulus) == reference_count(vals, t, modulus)
+    assert naive_with_strips(vals, t, modulus, rows) == reference_count(vals, t, modulus)
 
 
 def test_naive_strips_at_the_real_size():
-    # full strips, then a last strip of one row
+    # full strips of offsets, then a last strip of one offset, at an even and an odd N
     cells = paircorr._STRIP_CELLS
-    n = next(n for n in itertools.count(2) if n // (cells // n) >= 3 and n % (cells // n) == 1)
-    core = iid_uniform(n - n // 2, seed=8).raw  # its first n // 2 points appear twice
-    batch = FixedBatch(64, np.concatenate([core, core[:n // 2]]))
-    assert len(batch) == n
-    for t in (0, 1, M64 // n, M64 // 20, M64 // 2 - 1):
-        assert pair_count_naive(batch, t) == pair_count_fast(batch, t)
+    for parity in (0, 1):
+        n = next(n for n in itertools.count(2 + parity, 2)
+                 if n // 2 // (cells // (n + 1)) >= 3 and n // 2 % (cells // (n + 1)) == 1)
+        core = iid_uniform(n - n // 2, seed=8).raw  # its first n // 2 points appear twice
+        batch = FixedBatch(64, np.concatenate([core, core[:n // 2]]))
+        assert len(batch) == n
+        for t in (0, 1, M64 // n, M64 // 20, M64 // 2 - 1):
+            assert pair_count_naive(batch, t) == pair_count_fast(batch, t)
+
+
+@pytest.mark.parametrize("modulus", [2, 7, 2 ** 64, 3 ** 81])
+def test_naive_two_and_three_points(modulus):
+    for vals in itertools.product(sorted({0, 1, modulus // 2, modulus - 1}), repeat=3):
+        for t in sorted({0, 1, (modulus - 1) // 2, modulus // 2}):
+            for n in (2, 3):
+                assert pair_count_naive(list(vals[:n]), t, modulus=modulus) \
+                    == reference_count(vals[:n], t, modulus)
+
+
+def test_naive_close_pairs_only_at_the_half_offset():
+    # a[i] and a[i + N/2] differ by 1, every other pair by at least M64 / 16 - 1
+    half = 8
+    spread = [i * (M64 // half) for i in range(half)]
+    vals = spread + [v + 1 for v in spread]
+    for offsets in (1, 2, 3, half):
+        assert naive_with_strips(vals, 1, M64, offsets) == 2 * half
+        assert naive_with_strips(vals, 0, M64, offsets) == 0
+    assert pair_count_naive(vals, 1, modulus=M64) == reference_count(vals, 1, M64) == 2 * half
+
+
+@pytest.mark.parametrize("modulus", [3 ** 81, 2 ** 128])
+def test_naive_object_modulus_over_several_strips(modulus):
+    rng = random.Random(modulus)
+    pool = [rng.randrange(modulus) for _ in range(12)]
+    for n in (40, 41):
+        vals = [rng.choice(pool) for _ in range(n)]
+        for t in (0, modulus // 50, modulus // 5, (modulus - 1) // 2):
+            ref = reference_count(vals, t, modulus)
+            for offsets in (1, 3, 7):
+                assert naive_with_strips(vals, t, modulus, offsets) == ref
+
+
+def test_naive_oracle_stays_independent():
+    # no sort, no search and no window helper, in pair_count_naive or any code nested in it
+    codes, names = [pair_count_naive.__code__], set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    banned = ("sort", "argsort", "searchsorted", "_window", "_counts", "window_counts")
+    assert {name for name in names if any(word in name for word in banned)} == set()
+    assert "count_nonzero" in names
 
 
 def test_naive_memory_is_bounded_by_the_strips():

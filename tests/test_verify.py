@@ -1,0 +1,34 @@
+import dataclasses
+from unittest import mock
+
+from circlecorr import verify
+
+GRID = "closed form"
+
+
+def test_thm6_closed_form_checks_every_cell():
+    report = verify.suite_thm6(n_cap=10 ** 4)
+    grid = [c for c in report.checks if GRID in c.description]
+    assert len(grid) == 1 and grid[0].passed
+    # base 2 at 2^9..2^13, base 3 at 3^6..3^8, base 10 at 10^3 and 10^4: 9 cells each
+    assert "over 90 cells" in grid[0].description
+    assert not any("bracket" in c.description for c in grid)
+
+
+def test_thm6_closed_form_fails_on_a_count_off_by_two():
+    real = verify.f_stat_profile
+    calls = []
+
+    def off_by_two(*args):
+        results = real(*args)
+        calls.append(len(results))
+        if len(calls) == 2:  # base 3: the third cell
+            results[2] = dataclasses.replace(
+                results[2], ordered_pair_count=results[2].ordered_pair_count + 2)
+        return results
+
+    with mock.patch.object(verify, "f_stat_profile", off_by_two):
+        report = verify.suite_thm6(n_cap=10 ** 4)
+    grid = next(c for c in report.checks if GRID in c.description)
+    assert not grid.passed and grid.observed == "1 mismatches"
+    assert not report.passed
