@@ -17,6 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
+from .numutil import DEFAULT_GUARD_ULPS
 from .pointio import (format_point, read_points_binary, read_points_csv,
                       write_points_binary, write_points_csv)
 from .sequences import SequenceSpec, generate, kronecker_orbit
@@ -43,7 +44,8 @@ def _nonnegative(text):
 def _common_flags(parser):
     parser.add_argument("--precision", type=int, choices=(64, 128), default=64,
                         help="fixed-point bits per coordinate (default 64)")
-    parser.add_argument("--guard-band", type=_nonnegative, default=4, metavar="G",
+    parser.add_argument("--guard-band", type=_nonnegative, default=DEFAULT_GUARD_ULPS,
+                        metavar="G",
                         help="ulps around the threshold tallied as ambiguous")
     parser.add_argument("--out", metavar="PATH",
                         help="output path (default stdout)")

@@ -52,10 +52,9 @@ def circle_dist_raw(a: int, b: int, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Fixed-point close-pair threshold s/N^alpha with its guard band."""
+    """Fixed-point close-pair threshold s/N^alpha."""
 
     distance: CircleDistance
-    guard_ulps: int
     degenerate: bool  # true when s/N^alpha >= 1/2: every pair counts
 
 
@@ -169,16 +168,13 @@ def _finite_fraction(x, name: str) -> Fraction:
         raise ValueError(f"{name} must be finite, got {x!r}") from None
 
 
-def threshold_from(s, N: int, alpha, precision=DEFAULT_PRECISION,
-                   guard_ulps=DEFAULT_GUARD_ULPS) -> Threshold:
+def threshold_from(s, N: int, alpha, precision=DEFAULT_PRECISION) -> Threshold:
     """Round s/N^alpha to the nearest point of the 2^P grid, decided exactly.
 
     A float s or alpha means its binary value.  Nearest rounding is a floor:
     for x = s 2^P / N^alpha the raw threshold is (floor(2x) + 1) // 2, and
     floor(2x) is _exact_threshold_numerator at the denominator 2^(P+1).  A
-    tie (2x an odd integer, so N^alpha is rational) rounds to even.  The
-    guard band marks distance comparisons within +-guard_ulps of the
-    rounded threshold as ambiguous so callers can demand zero ambiguity.
+    tie (2x an odd integer, so N^alpha is rational) rounds to even.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -189,10 +185,10 @@ def threshold_from(s, N: int, alpha, precision=DEFAULT_PRECISION,
     half = 1 << (precision - 1)
     twice = _exact_threshold_numerator(s, N, alpha, 2 << precision)
     if twice >= 2 * half:  # s/N^alpha >= 1/2
-        return Threshold(CircleDistance(half, precision), guard_ulps, True)
+        return Threshold(CircleDistance(half, precision), True)
     raw = (twice + 1) // 2
     if twice & 1 and raw & 1:  # a tie would round to the odd raw; it rounds to even
         r = _exact_root(N, alpha.denominator)
         if r is not None and s * (2 << precision) == twice * Fraction(r) ** alpha.numerator:
             raw -= 1
-    return Threshold(CircleDistance(raw, precision), guard_ulps, False)
+    return Threshold(CircleDistance(raw, precision), False)

@@ -2,11 +2,12 @@
 
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
-batch's sorted values, except rotation batches, which f_stat counts by the
-difference sum.  On the 2^128 grid the kernel searches uint64 limbs: the
-high limb places each window end, and the low limb settles it only inside
-a run of equal high limbs.  f_stat counts a fixed-point cell in one kernel
-pass and finds the guard band from the points next to each window end.
+batch's sorted values, except rotation batches that carry their step, which
+f_stat counts from the step alone by a weighted floor sum.  On the 2^128
+grid the kernel searches uint64 limbs: the high limb places each window
+end, and the low limb settles it only inside a run of equal high limbs.
+f_stat counts any other fixed-point cell in one kernel pass and finds the
+guard band from the points next to each window end.
 The naive path tests every pair, in strips of cyclic offsets, as an
 independent oracle.  Thresholds come from numutil, decided exactly: floored
 against the denominator on rational batches, rounded to the nearest grid
@@ -22,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numutil import Threshold, _exact_threshold_numerator, threshold_from
+from .numutil import (DEFAULT_GUARD_ULPS, Threshold, _exact_threshold_numerator,
+                      threshold_from)
 from .sequences import Batch, RationalBatch, split_limbs
 
 _U64 = np.uint64
@@ -30,7 +32,6 @@ _FULL64 = 1 << 64
 _FULL128 = 1 << 128
 _MASK64 = _FULL64 - 1
 _BLOCK = 1 << 13  # queries per window-kernel step, which bounds its temporaries
-_DIFF_BLOCK = 1 << 16  # differences per is_progression / rotation_counts step
 # distance cells per pair_count_naive strip: below N = 4096 each buffer stays
 # under glibc's 128 KB mmap threshold, so calls reuse heap, not fresh pages
 _STRIP_CELLS = 3 << 12
@@ -241,56 +242,47 @@ def _guarded_counts(a: tuple, t: int, g: int, modulus: int) -> tuple:
     return count - n, ambiguous
 
 
-def is_progression(raw: np.ndarray, modulus: int) -> bool:
-    """True when raw[i] = raw[0] + i z mod modulus for one step z.
+def _floor_sums(a: int, b: int, c: int, n: int) -> tuple:
+    """(sum f, sum i f, sum f^2) over i = 0 .. n of f = floor((a i + b) / c).
 
-    For fixed-point raw values: uint64 at modulus 2^64, whose differences
-    wrap on their own, or Python ints reduced mod the modulus.  One pass
-    over the consecutive differences in blocks; it stops at the first block
-    that breaks the step.
+    For any integers a and b, n >= 0 and c >= 1.  After taking the quotients
+    of a and b by c out, the reduced f is below m = floor((a n + b) / c),
+    and counting the j < m under it swaps the roles of a and c (the
+    reciprocity of Concrete Mathematics, 3.5), so Euclid's steps bound the
+    depth: O(log c) frames of Python-int arithmetic.
     """
-    if raw.dtype != object and modulus != _FULL64:
-        return False  # uint64 differences wrap mod 2^64, not mod this modulus
-    step = None
-    # smaller blocks on object arrays bound the Python ints held at once
-    block = _BLOCK if raw.dtype == object else _DIFF_BLOCK
-    for start in range(0, len(raw) - 1, block):
-        steps = np.diff(raw[start:start + block + 1])
-        if raw.dtype == object:
-            steps %= modulus
-        if step is None:
-            step = steps[0]
-        if not (steps == step).all():
-            return False
-    return True
+    qa, a = divmod(a, c)
+    qb, b = divmod(b, c)
+    m = (a * n + b) // c
+    f = g = h = 0
+    if m:
+        f1, g1, h1 = _floor_sums(c, c - b - 1, a, m - 1)
+        f = n * m - f1
+        g = (m * n * (n + 1) - h1 - f1) // 2
+        h = n * m * (m + 1) - 2 * (g1 + f1) - f
+    s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+    return (f + qa * s1 + qb * (n + 1), g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * (qa * qb * s1 + qb * f + qa * g))
 
 
-def rotation_counts(raw: np.ndarray, thresholds: Sequence[int], modulus: int) -> list:
-    """Ordered close-pair counts of an arithmetic progression, one per threshold.
+def rotation_count(step: int, n: int, t: int, modulus: int) -> int:
+    """Ordered count of pairs within circle distance t among x_i = x_0 + i step mod M.
 
-    For raw[i] = raw[0] + i z mod modulus, ||raw[i] - raw[j]|| equals
-    ||raw[|i - j|] - raw[0]||, so the count at t is
-    2 sum_{d=1}^{N-1} (N - d) [||raw[d] - raw[0]|| <= t]: one pass over the
-    stored differences in blocks, with no sort and no N-sized temporary.
-    raw is fixed-point, as in is_progression.  Thresholds are >= 0; those at
-    or above modulus // 2 count every pair.
+    ||x_i - x_j|| = ||(i - j) z|| for z = step, and for 2t < M
+    [||d z|| <= t] = floor((d z + t)/M) - floor((d z + M - t - 1)/M) + 1, so
+    the count 2 sum_{d=1}^{n-1} (n - d) [||d z|| <= t] is two weighted floor
+    sums plus n (n - 1): O(log M) steps, with no points.  The step may be any
+    integer, since _floor_sums first reduces it mod M.  t < 0 counts 0,
+    2t >= M every pair.
     """
-    n = len(raw)
-    totals = [0] * len(thresholds)
-    if n < 2:
-        return totals
-    r0, top = raw[0], max(thresholds)
-    for start in range(1, n, _DIFF_BLOCK):
-        diff = raw[start:start + _DIFF_BLOCK] - r0  # uint64 wraps mod 2^64
-        if raw.dtype == object:
-            diff %= modulus
-        # modulus - diff, written so that diff = 0 at modulus 2^64 wraps to 0
-        dist = np.minimum(diff, (modulus - 1) - diff + 1)
-        near = np.flatnonzero(dist <= top)
-        dist, weight = dist[near], (n - start) - near  # weight N - d
-        for k, t in enumerate(thresholds):
-            totals[k] += int(weight[dist <= t].sum())
-    return [2 * total for total in totals]
+    if t < 0 or n < 2:
+        return 0
+    if 2 * t >= modulus:
+        return n * (n - 1)
+    # over d = 0 .. n - 1, sum (n - d) floor(...) = n sum f - sum d f; d = 0 adds 0
+    f, g, _ = _floor_sums(step, t, modulus, n - 1)
+    f_far, g_far, _ = _floor_sums(step, modulus - t - 1, modulus, n - 1)
+    return 2 * (n * (f - f_far) - (g - g_far)) + n * (n - 1)
 
 
 def sorted_raw(points):
@@ -368,15 +360,17 @@ def _to_exact(x) -> Fraction:
     return Fraction(str(x))
 
 
-def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
+def f_stat(points, s, alpha, guard_ulps=DEFAULT_GUARD_ULPS) -> PairCountResult:
     """Ordered count of pairs with ||x_l - x_m|| <= s/N^alpha, and F = count/N^(2-alpha).
 
     Rational batches are counted with exact integer comparisons against the
     exact threshold (no guard band); fixed-point batches use the rounded
     threshold and tally pairs within +-guard_ulps of it as ambiguous.
-    Rotation batches (raw values in arithmetic progression) are counted by
-    rotation_counts, every other fixed-point batch by one window-kernel pass
-    whose window ends show the few queries that need recounting for the band.
+    A rotation batch, which carries its step (every Kronecker batch built
+    by sequences does), is counted from that step by rotation_count, with no
+    pass over the points; every other fixed-point batch by one window-kernel
+    pass whose window ends show the few queries that need recounting for
+    the band.
     """
     n = len(points)
     if n < 2:
@@ -389,24 +383,25 @@ def f_stat(points, s, alpha, guard_ulps=4) -> PairCountResult:
         d_max = _exact_threshold_numerator(s_f, n, alpha_f, den)
         a, modulus = sorted_raw(points)
         count = pair_count_fast(a, min(d_max, den // 2), modulus, presorted=a)
-        thr = threshold_from(s_f, n, alpha_f, precision=64, guard_ulps=0)
+        thr = threshold_from(s_f, n, alpha_f, precision=64)
         return PairCountResult(n, float(alpha), float(s), thr, count, 0)
     precision = points.precision
-    thr = threshold_from(s, n, alpha, precision=precision, guard_ulps=guard_ulps)
+    thr = threshold_from(s, n, alpha, precision=precision)
     t = thr.distance.value
     if thr.degenerate:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
-    g, modulus = guard_ulps, points.modulus
-    if not is_progression(points.raw, modulus):
+    g, modulus, step = guard_ulps, points.modulus, points.step
+    if step is None:
         count, ambiguous = _guarded_counts(_sorted_keys(points), t, g, modulus)
-        return PairCountResult(n, float(alpha), float(s), thr, count, ambiguous)
-    # the count at t, then the guard band's ends t + g and t - g - 1
-    thresholds = [t, min(t + g, modulus // 2)] + ([t - g - 1] if t > g else [])
-    count, hi, *lo = rotation_counts(points.raw, thresholds, modulus)
-    return PairCountResult(n, float(alpha), float(s), thr, count, hi - sum(lo))
+    else:  # the count at t, then the guard band's ends t + g and t - g - 1
+        count = rotation_count(step, n, t, modulus)
+        ambiguous = (rotation_count(step, n, t + g, modulus)
+                     - rotation_count(step, n, t - g - 1, modulus))
+    return PairCountResult(n, float(alpha), float(s), thr, count, ambiguous)
 
 
-def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list, guard_ulps=4):
+def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list,
+                   guard_ulps=DEFAULT_GUARD_ULPS):
     """Evaluate f_stat on prefixes of one batch, cell by cell.
 
     Results come back in (N, alpha, s) lexicographic order.

@@ -114,7 +114,10 @@ class Batch:
     ``raw`` is one numpy array: uint64 when the modulus is at most 2^64,
     Python ints (dtype=object) above that.  Values lie in [0, modulus) and
     are not modified after construction, so the sorted views stay valid.
+    A rotation orbit also keeps its step: raw[i] = raw[0] + i step mod modulus.
     """
+
+    step = None
 
     def __init__(self, raw, modulus: int):
         self.modulus = modulus
@@ -220,11 +223,15 @@ def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:
 
 
 def _kronecker_batch(z_spec, first: int, N: int, precision: int) -> FixedBatch:
-    """Points {n z} for n = first .. first+N-1."""
+    """Points {n z} for n = first .. first+N-1, with z as their step."""
     z = resolve_z(z_spec, precision)
     if precision == 64:  # uint64 products wrap mod 2^64
-        return FixedBatch(64, np.arange(first, first + N, dtype=np.uint64) * np.uint64(z))
-    return FixedBatch(precision, np.arange(first, first + N, dtype=object) * z % (1 << precision))
+        raw = np.arange(first, first + N, dtype=np.uint64) * np.uint64(z)
+    else:
+        raw = np.arange(first, first + N, dtype=object) * z % (1 << precision)
+    batch = FixedBatch(precision, raw)
+    batch.step = z
+    return batch
 
 
 def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:

@@ -8,7 +8,7 @@ can verify the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,11 +21,16 @@ from .sequences import kronecker_orbit, resolve_z
 
 @dataclass
 class GapCensus:
-    """Distinct circular gap lengths (raw units) with multiplicities, ascending."""
+    """Distinct circular gap lengths (raw units) with multiplicities, ascending.
+
+    ``gaps`` keeps the N gaps themselves in sorted-rank order: gap i runs
+    from the point of rank i to that of rank i + 1 (mod N).
+    """
 
     entries: list  # (length_raw, multiplicity)
     modulus: int
     n_points: int
+    gaps: np.ndarray = field(repr=False, compare=False)
     has_duplicates: bool = False
 
     @property
@@ -34,9 +39,6 @@ class GapCensus:
 
     def total_length(self):
         return sum(length * mult for length, mult in self.entries)
-
-    def total_gaps(self):
-        return sum(mult for _, mult in self.entries)
 
 
 def gap_census(points, merge_ulps: int = 0) -> GapCensus:
@@ -53,7 +55,8 @@ def gap_census(points, merge_ulps: int = 0) -> GapCensus:
     # the wrap-around gap keeps a's dtype: a uint64 value >= 2^63 given as a
     # Python int would promote the array to float64
     wrap = np.array([(int(a[0]) - int(a[-1])) % modulus], dtype=a.dtype)
-    lengths, mults = np.unique(np.concatenate([np.diff(a), wrap]), return_counts=True)
+    gaps = np.concatenate([np.diff(a), wrap])
+    lengths, mults = np.unique(gaps, return_counts=True)
     entries = [(int(g), int(c)) for g, c in zip(lengths, mults)]
     if merge_ulps:
         merged = [list(entries[0])]
@@ -63,7 +66,7 @@ def gap_census(points, merge_ulps: int = 0) -> GapCensus:
             else:
                 merged.append([length, mult])
         entries = [tuple(e) for e in merged]
-    return GapCensus(entries, modulus, n, has_duplicates=entries[0][0] == 0)
+    return GapCensus(entries, modulus, n, gaps, has_duplicates=entries[0][0] == 0)
 
 
 def gap_classes(points) -> tuple:
@@ -72,22 +75,11 @@ def gap_classes(points) -> tuple:
     Gap i sits between sorted points of rank i and i+1 (mod N).  Classes
     come from the two smallest distinct census lengths.
     """
-    a, modulus = sorted_raw(points)
     census = gap_census(points)
-    small = census.lengths[0]
-    large = census.lengths[1] if len(census.lengths) > 1 else None
-    n = len(a)
-    raw = [int(v) for v in a]
-    classes = []
-    for i in range(n):
-        g = (raw[(i + 1) % n] - raw[i]) % modulus
-        if g == small:
-            classes.append(0)
-        elif g == large:
-            classes.append(1)
-        else:
-            classes.append(2)
-    return classes, census
+    # every gap is one of the census lengths, so its insertion point among
+    # the two smallest is its class: 0, 1, or 2 past both
+    smallest = np.array(census.lengths[:2], dtype=census.gaps.dtype)
+    return np.searchsorted(smallest, census.gaps).tolist(), census
 
 
 @dataclass

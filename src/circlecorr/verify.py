@@ -19,8 +19,8 @@ import numpy as np
 from . import cf as cfmod
 from .numutil import _exact_threshold_numerator, threshold_from
 from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
-                       is_progression, pair_count_fast, pair_count_naive,
-                       per_point_counts, rotation_counts, sorted_raw)
+                       pair_count_fast, pair_count_naive, per_point_counts,
+                       rotation_count, sorted_raw)
 from .sequences import (FixedBatch, SequenceSpec, generate, iid_uniform,
                         kronecker_orbit, resolve_z)
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
@@ -77,9 +77,10 @@ def _timed(fn):
 def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
     """pair_count_fast == pair_count_naive on randomized mixed batches.
 
-    Every kronecker trial must also be an arithmetic progression whose
-    rotation_counts equals the naive count, and rotation_counts must equal
-    the window kernel on rotation orbits of 10^6 points.
+    Every kronecker trial must also carry its step, and the floor sum
+    rotation_count from that step must equal the naive count; at 10^6
+    points, out of the naive count's reach, the floor sum must equal the
+    window kernel on rotation orbits.
     """
     rng = random.Random(seed)
     report = VerificationReport("oracle")
@@ -104,26 +105,26 @@ def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
         naive = pair_count_naive(batch, t)
         if pair_count_fast(batch, t) != naive:
             mismatches.append((kind, n, t))
-        if kind == "kronecker" and not (
-                is_progression(batch.raw, batch.modulus)
-                and rotation_counts(batch.raw, [t], batch.modulus) == [naive]):
+        if kind == "kronecker" and (
+                batch.step is None or rotation_count(batch.step, n, t, batch.modulus) != naive):
             rotation_mismatches.append((n, t))
     report.add(f"fast == naive over {trials} random batches (N <= {max_n})",
                "0 mismatches", f"{len(mismatches)} mismatches", "exact",
                not mismatches)
-    report.add("kronecker batches among them: progressions, rotation_counts == naive",
+    report.add("kronecker batches among them: floor sum from the step == naive",
                "0 mismatches", f"{len(rotation_mismatches)} mismatches", "exact",
                not rotation_mismatches)
     # at production N the naive matrix is out of reach: the window kernel
-    # and the difference sum check each other
+    # and the floor sum check each other
     big_mismatches = []
     for z in ("golden", rng.getrandbits(64)):
         orbit = kronecker_orbit(z, 10 ** 6)
         for alpha in (0.5, 0.9):
             t = threshold_from(1, 10 ** 6, alpha).distance.value
-            if pair_count_fast(orbit, t) != rotation_counts(orbit.raw, [t], orbit.modulus)[0]:
+            if pair_count_fast(orbit, t) != rotation_count(orbit.step, 10 ** 6, t,
+                                                           orbit.modulus):
                 big_mismatches.append((z, alpha))
-    report.add("window kernel == rotation_counts at N=10^6, golden and random z, "
+    report.add("window kernel == floor sum at N=10^6, golden and random z, "
                "alpha in {0.5, 0.9}, s=1", "0 mismatches",
                f"{len(big_mismatches)} mismatches", "exact", not big_mismatches)
     return report

@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 from circlecorr import numutil, paircorr
 from circlecorr.numutil import circle_dist_raw
 from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
-                                 is_progression, min_pair_distance,
-                                 pair_count_fast, pair_count_naive,
-                                 per_point_counts, rotation_counts, sorted_raw)
+                                 min_pair_distance, pair_count_fast,
+                                 pair_count_naive, per_point_counts,
+                                 rotation_count, sorted_raw)
 from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate,
                                   iid_uniform, kronecker_orbit)
 
@@ -662,16 +662,20 @@ def test_f_stat_float_alpha_on_vdc_is_fast():
     assert res.ordered_pair_count == pair_count_fast(batch, d)
 
 
-# --- rotation batches: the difference sum against the window kernel ---------
+# --- rotation batches: the floor sum against the window kernel -------------
+
+
+def _without_step(batch):
+    """The same points as a plain fixed-point batch, which f_stat counts by the window kernel."""
+    return FixedBatch(batch.precision, batch.raw)
 
 
 def _same_as_window_path(batch, s, alpha, guard_ulps=4):
-    """f_stat on a rotation batch equals f_stat forced onto the window kernel."""
-    assert is_progression(batch.raw, batch.modulus)
+    """f_stat on a rotation batch equals f_stat on its points without the step."""
+    assert batch.step is not None
     fast = f_stat(batch, s, alpha, guard_ulps=guard_ulps)
-    assert batch._sorted is None  # the difference sum never sorts
-    with mock.patch.object(paircorr, "is_progression", return_value=False):
-        slow = f_stat(batch, s, alpha, guard_ulps=guard_ulps)
+    assert batch._sorted is None and batch._limbs is None  # the floor sum never sorts
+    slow = f_stat(_without_step(batch), s, alpha, guard_ulps=guard_ulps)
     assert (fast.ordered_pair_count, fast.ambiguous_pairs) == \
         (slow.ordered_pair_count, slow.ambiguous_pairs)
     return fast
@@ -703,13 +707,30 @@ def test_f_stat_rotation_edge_thresholds():
     assert _same_as_window_path(same, 1, 1).ordered_pair_count == 500 * 499
 
 
+@pytest.mark.parametrize("precision", [64, 128])
+def test_f_stat_rotation_band_edges(precision):
+    # steps of 1, 3 and -3 ulps put pair distances on every threshold near t,
+    # and at alpha = 0 the raw threshold is s 2^P = t + 1/4 rounded
+    for z in (1, 3, -3):
+        orbit = kronecker_orbit(z, 40, precision=precision)
+        raw = [int(v) for v in orbit.raw]
+        def count(t):
+            return reference_count(raw, t, orbit.modulus) if t >= 0 else 0
+        for t in range(0, 3 * 40, 7):
+            for g in (0, 1, 4):
+                s = Fraction(4 * t + 1, 4 * orbit.modulus)
+                res = _same_as_window_path(orbit, s, 0, guard_ulps=g)
+                assert res.threshold.distance.value == t
+                assert res.ordered_pair_count == count(t)
+                assert res.ambiguous_pairs == count(t + g) - count(t - g - 1)
+
+
 def test_f_stat_rotation_prefixes_and_profile():
     for n in (2, 100, 2999):
         _same_as_window_path(kronecker_orbit(0x9e3779b97f4a7c15, 3000).prefix(n), 1, 0.5)
     orbit = kronecker_orbit(0x9e3779b97f4a7c15, 3000)
     table = f_stat_profile(orbit, [100, 3000], [0.5, 0.9], [1])
-    with mock.patch.object(paircorr, "is_progression", return_value=False):
-        plain = f_stat_profile(orbit, [100, 3000], [0.5, 0.9], [1])
+    plain = f_stat_profile(_without_step(orbit), [100, 3000], [0.5, 0.9], [1])
     assert [(r.ordered_pair_count, r.ambiguous_pairs) for r in table] == \
         [(r.ordered_pair_count, r.ambiguous_pairs) for r in plain]
 
@@ -726,63 +747,64 @@ def progression_cases(draw):
     ts = draw(st.lists(st.one_of(st.sampled_from([t for t in near if t >= 0]),
                                  st.just(modulus // 2), st.integers(0, 2 * modulus)),
                        min_size=1, max_size=3))
-    return raw, ts, modulus
+    return raw, ts, modulus, z
 
 
-@given(progression_cases())
-def test_rotation_counts_on_fixed_point_moduli(case):
-    raw, ts, modulus = case
-    arr = Batch(raw, modulus).raw  # uint64 at 2^64, object at 2^128
-    assert is_progression(arr, modulus)
-    assert rotation_counts(arr, ts, modulus) == \
-        [reference_count(raw, t, modulus) for t in ts]
-
-
-@given(progression_cases(), st.data())
-def test_is_progression_rejects_any_changed_point(case, data):
-    raw, _, modulus = case
-    if len(raw) < 3:  # one or two points always form a progression
-        return
-    i = data.draw(st.integers(0, len(raw) - 1))
-    v = data.draw(st.integers(0, modulus - 1).filter(lambda v: v != raw[i]))
-    changed = Batch(raw[:i] + [v] + raw[i + 1:], modulus).raw
-    assert not is_progression(changed, modulus)
+@given(progression_cases(), st.integers(-3, 3))
+def test_rotation_counts_on_fixed_point_moduli(case, wraps):
+    raw, ts, modulus, z = case
+    # the step is reduced mod the modulus on entry, and a threshold below 0 counts nothing
+    for t in ts:
+        assert rotation_count(z + wraps * modulus, len(raw), t, modulus) == \
+            reference_count(raw, t, modulus)
+    assert rotation_count(z, len(raw), -1, modulus) == 0
 
 
 def test_rotation_counts_spans_several_blocks():
     orbit = kronecker_orbit("golden", 200_000)
-    t = M64 // 10 ** 5
-    assert rotation_counts(orbit.raw, [t, 0], orbit.modulus) == \
-        [pair_count_fast(orbit, t), 0]
+    for t in (M64 // 10 ** 5, 0, 1, M64 // 2 - 1):
+        assert rotation_count(orbit.step, 200_000, t, orbit.modulus) == \
+            pair_count_fast(orbit, t)
 
 
-def test_is_progression_across_blocks():
-    raw = kronecker_orbit("golden", 200_000).raw
-    assert is_progression(raw, M64)
-    # the step grows by one from difference `cut` on; at cut = _DIFF_BLOCK
-    # each block alone is a progression and only the step across them differs
-    for cut in (paircorr._DIFF_BLOCK - 1, paircorr._DIFF_BLOCK, 150_000):
-        bent = raw.copy()
-        bent[cut:] += np.arange(len(raw) - cut, dtype=np.uint64)
-        assert not is_progression(bent, M64)
+def test_floor_sums_on_small_cases():
+    rng = random.Random(11)
+    for _ in range(3000):
+        a, b = rng.randint(-120, 120), rng.randint(-120, 120)
+        c, n = rng.randint(1, 50), rng.randint(0, 40)
+        floors = [(a * i + b) // c for i in range(n + 1)]
+        assert paircorr._floor_sums(a, b, c, n) == (
+            sum(floors), sum(i * f for i, f in enumerate(floors)), sum(f * f for f in floors))
 
 
-def test_is_progression_on_each_family():
+def test_golden_zero_counts_reach_q90_without_an_orbit():
+    # F_{q_h}^1(1/2) = 0 at P = 128 for every h <= 90 (q_90 ~ 2.9e18), with
+    # t widened by N ulps; only the step is used, no point is built
+    from circlecorr.cf import fibonacci
+    from circlecorr.numutil import threshold_from
+    from circlecorr.sequences import golden_raw
+    z, modulus = golden_raw(128), 1 << 128
+    for h in range(3, 91):
+        n = fibonacci(h)
+        t = threshold_from(Fraction(1, 2), n, 1, precision=128).distance.value
+        assert rotation_count(z, n, t, modulus) == 0
+        assert rotation_count(z, n, t + n, modulus) == 0
+
+
+def test_which_batches_carry_a_step():
     for precision in (64, 128):
         spec = SequenceSpec("kronecker", z_spec=Fraction(3, 7), precision=precision)
         for batch in (generate(spec, 2), generate(spec, 50, start=9),
                       kronecker_orbit(Fraction(3, 7), 50, precision=precision),
                       generate(spec, 50).prefix(10), kronecker_orbit(0, 50)):
-            assert is_progression(batch.raw, batch.modulus)
+            assert batch.step is not None
+            raw = [int(v) for v in batch.raw]
+            assert all((raw[i] - raw[0]) % batch.modulus == i * batch.step % batch.modulus
+                       for i in range(len(raw)))
     for spec in (SequenceSpec("vdc", base=3), SequenceSpec("iid", seed=1),
                  SequenceSpec("sqrt_frac")):
-        batch = generate(spec, 50)
-        assert not is_progression(batch.raw, batch.modulus)
-    batch = generate(SequenceSpec("vdc", base=3), 50).to_fixed()
-    assert not is_progression(batch.raw, batch.modulus)
-    # uint64 differences wrap mod 2^64, so rotation_counts would measure
-    # 0 -> 800 as 800, not 224, on this 2^10 grid: only 2^64 and object raw pass
-    assert not is_progression(np.array([0, 400, 800], dtype=np.uint64), 1 << 10)
+        assert generate(spec, 50).step is None
+    assert generate(SequenceSpec("vdc", base=3), 50).to_fixed().step is None
 
 
 def test_file_read_rotation_orbits_are_progressions():
@@ -797,5 +819,10 @@ def test_file_read_rotation_orbits_are_progressions():
     from_bin = read_points_binary(io.BytesIO(data), 64)
     for batch in (from_csv, from_bin):
         assert list(batch.raw) == list(orbit.raw)
-        assert is_progression(batch.raw, batch.modulus)
-        _same_as_window_path(batch, 1, 0.5)
+        # a file holds no step: the window kernel counts the points read back,
+        # and gets the floor sum's counts on the generated orbit
+        assert batch.step is None
+        for s, alpha in ((1, 0.5), (Fraction(1, 2), 1), (3, 0.9)):
+            read, made = f_stat(batch, s, alpha), f_stat(orbit, s, alpha)
+            assert (read.ordered_pair_count, read.ambiguous_pairs) == \
+                (made.ordered_pair_count, made.ambiguous_pairs)
