@@ -153,14 +153,6 @@ class OstrowskiRep:
             if self.coeffs[j] == self.caps[j] and j > 0 and self.coeffs[j - 1] != 0:
                 raise ValueError("maximal digit must be preceded by a zero digit")
 
-    @property
-    def top(self):
-        """Position j of the highest nonzero digit."""
-        for j in reversed(range(len(self.coeffs))):
-            if self.coeffs[j]:
-                return j
-        raise ValueError("empty representation")
-
     def nonzero(self):
         return [(self.indices[j], self.coeffs[j])
                 for j in reversed(range(len(self.coeffs))) if self.coeffs[j]]

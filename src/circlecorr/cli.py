@@ -41,18 +41,20 @@ def _nonnegative(text):
     return value
 
 
-def _common_flags(parser):
-    parser.add_argument("--precision", type=int, choices=(64, 128), default=64,
-                        help="fixed-point bits per coordinate (default 64)")
-    parser.add_argument("--guard-band", type=_nonnegative, default=DEFAULT_GUARD_ULPS,
-                        metavar="G",
-                        help="ulps around the threshold tallied as ambiguous")
-    parser.add_argument("--out", metavar="PATH",
-                        help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "text"), default="csv",
-                        help="report format")
-    parser.add_argument("--max-points", type=_nonnegative, default=DEFAULT_MAX_POINTS,
-                        metavar="CAP", help="refuse point counts beyond CAP")
+_FLAGS = {  # shared flags: each subcommand registers, by _flags, only those it reads
+    "--precision": dict(type=int, choices=(64, 128), default=64, help="grid bits (default 64)"),
+    "--guard-band": dict(type=_nonnegative, default=DEFAULT_GUARD_ULPS, metavar="G",
+                         help="ulps around the threshold tallied as ambiguous"),
+    "--out": dict(metavar="PATH", help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "text"), default="csv", help="report format"),
+    "--max-points": dict(type=_nonnegative, default=DEFAULT_MAX_POINTS, metavar="CAP",
+                         help="refuse point counts beyond CAP"),
+}
+
+
+def _flags(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _sequence_flags(parser):
@@ -112,8 +114,16 @@ def _open_out(args):
         yield stream
 
 
-def _parse_list(text, conv=float):
+def _parse_list(text, conv):
     return [conv(part) for part in text.split(",") if part]
+
+
+def _exact(text) -> Fraction:
+    """An --alpha or --s item as the exact value of its decimal text: 0.9 is 9/10."""
+    # finite as a float, as F is one; an exponent's power of ten is built in full
+    if not math.isfinite(float(text)) or abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+        raise UsageError("--alpha and --s values must be finite, with exponents within 4300")
+    return Fraction(text)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -136,13 +146,10 @@ def cmd_gen(args):
 
 def cmd_fstat(args):
     from .paircorr import f_stat_profile
-    alphas = _parse_list(args.alpha)
-    svals = _parse_list(args.s)
+    alphas, svals = _parse_list(args.alpha, _exact), _parse_list(args.s, _exact)
     n_list = sorted(_parse_list(args.n, int))
     if not (alphas and svals and n_list):
         raise UsageError("need non-empty --n, --alpha and --s lists")
-    if not all(map(math.isfinite, alphas + svals)):
-        raise UsageError("--alpha and --s values must be finite")
     _check_cap(n_list[-1], args.max_points)
     if args.points:
         mode = "rb" if args.points_format == "binary" else "r"
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write points of a sequence")
-    _common_flags(p)
+    _flags(p, "--precision", "--out", "--max-points")
     _sequence_flags(p)
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--binary", action="store_true",
@@ -276,36 +283,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("fstat", help="pair correlation statistic sweep")
-    _common_flags(p)
+    _flags(p, "--precision", "--guard-band", "--out", "--format", "--max-points")
     _sequence_flags(p)
     p.add_argument("--n", required=True, help="comma-separated N list")
-    p.add_argument("--alpha", default="1", help="comma-separated alpha list")
-    p.add_argument("--s", default="1", help="comma-separated s list")
+    p.add_argument("--alpha", default="1", help="comma-separated alpha list (exact decimals)")
+    p.add_argument("--s", default="1", help="comma-separated s list (exact decimals)")
     p.add_argument("--points", metavar="FILE",
                    help="read points from a file written by gen")
     p.add_argument("--points-format", choices=("csv", "binary"), default="csv")
     p.set_defaults(fn=cmd_fstat)
 
     p = sub.add_parser("gaps", help="gap census and three-gap prediction")
-    _common_flags(p)
+    _flags(p, "--precision", "--out", "--format", "--max-points")
     p.add_argument("--z", default="golden", help="rotation number")
     p.add_argument("--n", type=int, required=True, help="orbit length")
     p.set_defaults(fn=cmd_gaps)
 
     p = sub.add_parser("cf", help="continued fraction expansion")
-    _common_flags(p)
+    _flags(p, "--out", "--format")
     p.add_argument("value", help="'golden', p/q, integer, or decimal")
     p.add_argument("--terms", type=int, default=32, help="maximum quotients")
     p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("ostrowski", help="digit representation of an integer")
-    _common_flags(p)
+    _flags(p, "--out", "--format")
     p.add_argument("n", type=int, help="integer to expand")
     p.add_argument("--z", default="golden", help="rotation defining the ladder")
     p.set_defaults(fn=cmd_ostrowski)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    _common_flags(p)
+    _flags(p, "--out")
     p.add_argument("suite", choices=[*SUITE_NAMES, "all"])
     p.set_defaults(fn=cmd_verify)
 

@@ -21,6 +21,7 @@ SUPPORTED_PRECISIONS = (64, 128)
 DEFAULT_GUARD_ULPS = 4
 _BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 _ROOT_BITS = 4096  # largest power, in bits, that _root_floor takes instead of the bracket
+_POWER_BITS = 1 << 22  # largest power, in bits, that exact powers settle after the bracket
 
 
 def _check_precision(precision):
@@ -77,16 +78,22 @@ def _exact_root(n: int, k: int) -> Optional[int]:
     return r if r ** k == n else None
 
 
+def _power_bits(s: Fraction, N: int, alpha: Fraction, denominator: int) -> int:
+    """About the bits of x^q written as A/B (see _root_floor), for alpha = p/q."""
+    return (alpha.denominator * max(s.numerator * denominator, s.denominator).bit_length()
+            + abs(alpha.numerator) * N.bit_length())
+
+
 def _root_floor(s: Fraction, N: int, alpha: Fraction, denominator: int) -> Optional[int]:
     """floor(s * denominator / N^alpha) by one integer root, or None past _ROOT_BITS.
 
     With alpha = p/q, x^q = A/B for A = (s_n denominator)^q N^max(-p, 0) and
     B = s_d^q N^max(p, 0), and an integer k >= 0 has k <= x iff k^q <= floor(A/B).
     """
+    if _power_bits(s, N, alpha, denominator) > _ROOT_BITS:
+        return None
     p, q = alpha.numerator, alpha.denominator
     num = s.numerator * denominator
-    if q * max(num, s.denominator).bit_length() + abs(p) * N.bit_length() > _ROOT_BITS:
-        return None
     return _iroot(num ** q * N ** max(-p, 0) // (s.denominator ** q * N ** max(p, 0)), q)
 
 
@@ -120,7 +127,8 @@ def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator
     of the denominator plus 64 and doubles, so the cost grows with that, not
     with q.  Should the last doubling still straddle an integer, exact powers
     (d^q N^p against (s * denominator)^q, O(q) big-integer work) decide
-    inside the bracket, so termination never rests on that distance.
+    inside the bracket, so termination never rests on that distance; past
+    _POWER_BITS, where that work would not end in time, it raises ValueError.
     """
     if s <= 0:
         raise ValueError("s must be positive")
@@ -147,6 +155,8 @@ def _exact_threshold_numerator(s: Fraction, N: int, alpha: Fraction, denominator
         if lo == hi:
             return lo
         bits *= 2
+    if _power_bits(s, N, alpha, denominator) > _POWER_BITS:
+        raise ValueError(f"s/N^alpha at N = {N} lies too close to a grid point to round")
     # d^q N^p <= (s * denominator)^q, with N^|p| on the side that keeps it whole
     lhs = s.denominator ** q * N ** max(p, 0)
     rhs = (s.numerator * denominator) ** q * N ** max(-p, 0)

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .numutil import (DEFAULT_GUARD_ULPS, Threshold, _exact_threshold_numerator,
-                      threshold_from)
+                      _finite_fraction, threshold_from)
 from .sequences import Batch, RationalBatch, split_limbs
 
 _U64 = np.uint64
@@ -352,17 +351,11 @@ class PairCountResult:
         return self.ordered_pair_count / scale
 
 
-def _to_exact(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
-
-
 def f_stat(points, s, alpha, guard_ulps=DEFAULT_GUARD_ULPS) -> PairCountResult:
     """Ordered count of pairs with ||x_l - x_m|| <= s/N^alpha, and F = count/N^(2-alpha).
 
+    s and alpha are read once as exact Fractions, the same on every batch: a
+    float means its binary value (0.1 is 3602879701896397/2^55), not 1/10.
     Rational batches are counted with exact integer comparisons against the
     exact threshold (no guard band); fixed-point batches use the rounded
     threshold and tally pairs within +-guard_ulps of it as ambiguous.
@@ -377,16 +370,14 @@ def f_stat(points, s, alpha, guard_ulps=DEFAULT_GUARD_ULPS) -> PairCountResult:
         raise ValueError("need at least two points")
     if guard_ulps < 0:
         raise ValueError("the guard band must be >= 0 ulps")
+    s_f, alpha_f = _finite_fraction(s, "s"), _finite_fraction(alpha, "alpha")
     if isinstance(points, RationalBatch):
-        s_f, alpha_f = _to_exact(s), _to_exact(alpha)
-        den = points.modulus
+        a, den = sorted_raw(points)
         d_max = _exact_threshold_numerator(s_f, n, alpha_f, den)
-        a, modulus = sorted_raw(points)
-        count = pair_count_fast(a, min(d_max, den // 2), modulus, presorted=a)
+        count = pair_count_fast(a, min(d_max, den // 2), den, presorted=a)
         thr = threshold_from(s_f, n, alpha_f, precision=64)
         return PairCountResult(n, float(alpha), float(s), thr, count, 0)
-    precision = points.precision
-    thr = threshold_from(s, n, alpha, precision=precision)
+    thr = threshold_from(s_f, n, alpha_f, precision=points.precision)
     t = thr.distance.value
     if thr.degenerate:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)

@@ -14,7 +14,8 @@ import pytest
 
 from circlecorr import cli, pointio
 from circlecorr.cli import main
-from circlecorr.paircorr import pair_count_naive
+from circlecorr.numutil import threshold_from
+from circlecorr.paircorr import f_stat, pair_count_naive
 from circlecorr.pointio import (format_point, parse_point, read_points_binary,
                                 read_points_csv, write_points_binary, write_points_csv)
 from circlecorr.sequences import FixedBatch, SequenceSpec, generate, iid_uniform
@@ -275,7 +276,7 @@ def test_fstat_vdc_bound(capsys):
 
 
 def test_fstat_vdc_float_alpha_is_fast(capsys):
-    # the float 0.3333333333333333 is read as 3333333333333333/10^16, so the
+    # the decimal 0.3333333333333333 is read as 3333333333333333/10^16, so the
     # exact threshold may not cost O(alpha's denominator)
     start = time.perf_counter()
     code, out, _ = run_cli(["fstat", "--seq", "vdc", "--base", "10", "--n", "10000",
@@ -290,7 +291,7 @@ def test_fstat_vdc_float_alpha_is_fast(capsys):
 def test_fstat_vdc_alpha_next_to_a_tie(alpha, above_third, capsys):
     # at N = den = 1000, alpha = 1/3 and s = 1 the threshold 1/10 is a tie
     # d/den, d = 100: the largest d passing the former bisection's exact test
-    # d^q N^p <= den^q.  These floats lie 3e-17 below and 4e-17 above 1/3, so
+    # d^q N^p <= den^q.  These decimals lie 3e-17 below and 4e-17 above 1/3, so
     # 1000^(1 - alpha) is just above 100, or just below it: d = 100, or 99
     d = max(d for d in range(1001) if d ** 3 * 1000 <= 1000 ** 3) - above_third
     code, out, _ = run_cli(["fstat", "--seq", "vdc", "--base", "10", "--n", "1000",
@@ -411,6 +412,50 @@ def test_fstat_non_finite_alpha_or_s_is_usage_error(flag, capsys):
     assert "finite" in err and out == ""
 
 
+def test_fstat_reads_a_decimal_alpha_exactly(capsys):
+    # 0.9 is 9/10, not the float 0.90000000000000002220..., whose threshold
+    # at N = 987 lies 6 ulps away, past the default guard band
+    code, out, _ = run_cli("fstat --n 987 --alpha 0.9 --s 1".split(), capsys)
+    assert code == 0
+    thr = threshold_from(1, 987, Fraction(9, 10)).distance
+    assert thr.value - threshold_from(1, 987, 0.9).distance.value == 6
+    assert out.splitlines()[1].split(",")[5] == f"{float(thr):.17g}"
+
+
+def test_a_float_alpha_means_its_binary_value_on_every_batch(capsys):
+    # N = 1024 = 2^10 in base 2: at alpha = 1/10 and s = 1/2 the threshold
+    # is 1/4 = 256/1024, a distance the grid holds; the float 0.1 lies just
+    # above 1/10, so its threshold lies just below and drops those 2N pairs
+    batch = generate(SequenceSpec("vdc", base=2), 1024)
+    count = f_stat(batch, Fraction(1, 2), 0.1).ordered_pair_count
+    assert count == f_stat(batch, Fraction(1, 2), Fraction(0.1)).ordered_pair_count
+    assert count == 1024 ** 2 // 2 - 2 * 1024
+    # the CLI reads the text 0.1 as 1/10
+    code, out, _ = run_cli("fstat --seq vdc --base 2 --n 1024 --alpha 0.1 --s 0.5".split(),
+                           capsys)
+    assert code == 0 and out.splitlines()[1].split(",")[6] == str(1024 ** 2 // 2)
+
+
+def test_a_decimal_exponent_past_4300_is_usage_error(capsys):
+    # 10^-40000 would be built in full, and its floor near 1 would need
+    # exact powers with a 10^40000-th power
+    code, out, err = run_cli(["fstat", "--n", "987", "--alpha=1e-40000"], capsys)
+    assert code == 2 and out == "" and "4300" in err
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    for argv in ("cf 1/2 --guard-band 3", "gen --n 3 --guard-band 3", "gen --n 3 --format text",
+                 "gaps --n 3 --guard-band 3", "cf 1/2 --precision 128", "cf 1/2 --max-points 5",
+                 "ostrowski 5 --precision 128", "ostrowski 5 --guard-band 3",
+                 "ostrowski 5 --max-points 5", "verify oracle --precision 128",
+                 "verify oracle --guard-band 3", "verify oracle --format text",
+                 "verify oracle --max-points 5"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_negative_guard_band_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fstat", "--n", "100", "--guard-band", "-1"])
@@ -469,7 +514,9 @@ def modules_after(argv, cwd):
 
 def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     unused = {"mpmath", "circlecorr.verify", "circlecorr.threegap", "circlecorr.cf"}
+    # alpha = 0.9 is 9/10, whose floor is one integer root
     for argv in ("fstat --seq vdc --base 2 --n 16384 --alpha 0.25 --s 1 --out v.csv",
+                 "fstat --n 987 --alpha 0.9 --out g.csv",
                  "gen --seq iid --n 1000 --out F", "fstat --points F --n 1000 --out f.csv"):
         loaded = modules_after(argv.split(), tmp_path)
         assert "circlecorr.paircorr" in loaded or argv.startswith("gen")
@@ -477,8 +524,8 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     loaded = modules_after(["cf", "1/2", "--out", "cf.csv"], tmp_path)
     assert "circlecorr.cf" in loaded
     assert loaded & {"mpmath", "circlecorr.verify", "circlecorr.threegap"} == set()
-    # alpha = 0.9 is 8106479329266893/2^53: its floor needs the interval bracket
-    loaded = modules_after("fstat --n 987 --alpha 0.9 --out g.csv".split(), tmp_path)
+    # alpha = 0.33333 is 33333/10^5: its floor needs the interval bracket
+    loaded = modules_after("fstat --n 987 --alpha 0.33333 --out g.csv".split(), tmp_path)
     assert "mpmath" in loaded and "circlecorr.verify" not in loaded
     # only the lemma12 suite needs mpmath
     loaded = modules_after(["verify", "threegap", "--out", "r.txt"], tmp_path)
@@ -514,7 +561,7 @@ OUTPUT_DIGESTS = {
     "fstat-vdc10-text": ("fstat --seq vdc --base 10 --n 100,1000 --alpha 0.5,1 --s 0.5,1 --format text",
         "dc1a4ed54704dec0b74e005c154ab18d19e82067bc667a83b6420580627a9b37"),
     "fstat-golden64-csv": ("fstat --seq kronecker --n 987,5000 --alpha 0.5,0.9,1 --s 0.5,1",
-        "ba39e5b731557149cf21411f07f4510c180f147d0471ccd705fdaaedac09f1b2"),
+        "2c74bb61e8e866c98d903f305cb11f4e2710d6fc665d240f177ed39980a7b8f5"),
     "fstat-golden64-text": ("fstat --seq kronecker --n 987,5000 --alpha 0.5,0.9,1 --s 0.5,1 --format text",
         "ad640ee65f4c07376866cf6c9083dd6be20acea42cee9004d5a8e4e63f6abfca"),
     "fstat-golden128-csv": ("fstat --seq kronecker --precision 128 --n 987,3000 --alpha 0.5,1 --s 0.5,1",

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -134,6 +135,15 @@ def test_threshold_rejects_non_finite():
         for s, alpha in ((math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)):
             with pytest.raises(ValueError):
                 f_stat(batch, s, alpha)
+
+
+def test_threshold_too_close_to_call_is_an_error_not_a_hang():
+    # s/N^alpha lies within 10^-40000 of 1/2, past what the last bracket
+    # settles, and exact powers would raise 2^65 to the 10^40000th power
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too close"):
+        threshold_from(Fraction(1, 2), 2, Fraction(1, 10 ** 40000))
+    assert time.perf_counter() - start < 5.0
 
 
 # N that are perfect powers make N^alpha rational for some alpha.  The

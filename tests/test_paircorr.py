@@ -650,12 +650,12 @@ def test_iroot_is_the_floor_root():
 
 
 def test_f_stat_float_alpha_on_vdc_is_fast():
-    # 1/3 as a float is 3333333333333333/10^16: the alpha denominator is 10^16
+    # 1/3 as a float is 6004799503160661/2^54: the alpha denominator is 2^54
     batch = generate(SequenceSpec("vdc", base=10), 10 ** 4)
     start = time.perf_counter()
     res = f_stat(batch, 1, 1 / 3)
     assert time.perf_counter() - start < 1.0
-    # x = 10^(4 (1 - alpha)) lies 1.4e-13 from its value at alpha = 1/3,
+    # x = 10^(4 (1 - alpha)) lies 7.9e-14 from its value at alpha = 1/3,
     # 464.159..., far from any integer, so both alphas share its floor
     d = bisect_threshold_numerator(Fraction(1), 10 ** 4, Fraction(1, 3), 10 ** 4)
     assert d == 464
