@@ -17,7 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .numutil import DEFAULT_GUARD_ULPS
+from .numutil import DEFAULT_GUARD_ULPS, _decimal_fraction
 from .pointio import (format_point, read_points_binary, read_points_csv,
                       write_points_binary, write_points_csv)
 from .sequences import SequenceSpec, generate, kronecker_orbit
@@ -71,7 +71,7 @@ def _sequence_flags(parser):
 def _fraction(text) -> Fraction:
     """p/q, or a decimal, as a Fraction; a zero denominator is a usage error."""
     try:
-        return Fraction(text)
+        return _decimal_fraction(text)
     except ZeroDivisionError:
         raise UsageError(f"{text!r} has a zero denominator") from None
 
@@ -120,10 +120,9 @@ def _parse_list(text, conv):
 
 def _exact(text) -> Fraction:
     """An --alpha or --s item as the exact value of its decimal text: 0.9 is 9/10."""
-    # finite as a float, as F is one; an exponent's power of ten is built in full
-    if not math.isfinite(float(text)) or abs(int(text.lower().partition("e")[2] or 0)) > 4300:
-        raise UsageError("--alpha and --s values must be finite, with exponents within 4300")
-    return Fraction(text)
+    if not math.isfinite(float(text)):  # F is a float
+        raise UsageError("--alpha and --s values must be finite")
+    return _decimal_fraction(text)
 
 
 # --- subcommands -------------------------------------------------------------

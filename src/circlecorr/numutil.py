@@ -22,6 +22,7 @@ DEFAULT_GUARD_ULPS = 4
 _BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 _ROOT_BITS = 4096  # largest power, in bits, that _root_floor takes instead of the bracket
 _POWER_BITS = 1 << 22  # largest power, in bits, that exact powers settle after the bracket
+_MAX_DECIMAL_EXPONENT = 4300  # largest exponent of a decimal text read as a Fraction
 
 
 def _check_precision(precision):
@@ -176,6 +177,18 @@ def _finite_fraction(x, name: str) -> Fraction:
         return Fraction(x)
     except (OverflowError, ValueError):  # an infinity or a NaN
         raise ValueError(f"{name} must be finite, got {x!r}") from None
+
+
+def _decimal_fraction(text: str) -> Fraction:
+    """The exact value of a decimal or p/q text, with its exponent within +-4300.
+
+    Fraction builds the power of ten of an exponent in full, which for
+    1e-100000000 takes minutes, so a larger exponent is a ValueError.
+    """
+    if abs(int(text.lower().partition("e")[2] or 0)) > _MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{text!r}: a decimal exponent must lie within "
+                         f"+-{_MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
 
 
 def threshold_from(s, N: int, alpha, precision=DEFAULT_PRECISION) -> Threshold:

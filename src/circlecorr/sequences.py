@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .numutil import DEFAULT_PRECISION, _check_precision
+from .numutil import DEFAULT_PRECISION, _check_precision, _decimal_fraction
 
 # floor(frac(phi) * 2^192); frac(phi) = (sqrt(5) - 1) / 2
 _GOLDEN_BITS = 192
@@ -61,12 +61,13 @@ def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
             return _nearest_raw(Fraction(z_spec), precision)
         if "." not in z_spec:
             return _nearest_raw(Fraction(int(z_spec)), precision)
-        frac_digits = len(z_spec.split(".")[1])
+        # the digits after the point and before any exponent
+        frac_digits = sum(ch.isdigit() for ch in z_spec.lower().partition("e")[0].split(".")[1])
         if frac_digits * math.log2(10) < precision + 8:
             raise ValueError(
                 f"decimal z needs >= {math.ceil((precision + 8) / math.log2(10))} "
                 f"fractional digits for precision {precision}, got {frac_digits}")
-        return _nearest_raw(Fraction(z_spec), precision)
+        return _nearest_raw(_decimal_fraction(z_spec), precision)
     raise TypeError(f"unsupported z spec: {z_spec!r}")
 
 
@@ -114,7 +115,8 @@ class Batch:
     ``raw`` is one numpy array: uint64 when the modulus is at most 2^64,
     Python ints (dtype=object) above that.  Values lie in [0, modulus) and
     are not modified after construction, so the sorted views stay valid.
-    A rotation orbit also keeps its step: raw[i] = raw[0] + i step mod modulus.
+    A rotation orbit (RotationBatch) also keeps its step,
+    raw[i] = raw[0] + i step mod modulus, and builds raw only when it is read.
     """
 
     step = None
@@ -222,16 +224,41 @@ def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:
     return batch if batch.modulus <= EXACT_DENOM_CAP else batch.to_fixed(precision)
 
 
-def _kronecker_batch(z_spec, first: int, N: int, precision: int) -> FixedBatch:
-    """Points {n z} for n = first .. first+N-1, with z as their step."""
-    z = resolve_z(z_spec, precision)
-    if precision == 64:  # uint64 products wrap mod 2^64
-        raw = np.arange(first, first + N, dtype=np.uint64) * np.uint64(z)
-    else:
-        raw = np.arange(first, first + N, dtype=object) * z % (1 << precision)
-    batch = FixedBatch(precision, raw)
-    batch.step = z
-    return batch
+class RotationBatch(FixedBatch):
+    """Points {n z} for n = first .. first+N-1 on the 2^P grid, built when first read.
+
+    Holds only the start, the step z and N until something reads ``raw``,
+    so a count from the step (paircorr.rotation_count) never builds them.
+    ``prefix`` shortens N in O(1), and slices what is already built.
+    """
+
+    def __init__(self, precision: int, step: int, first: int, n: int):
+        self.precision, self.modulus, self.step = precision, 1 << precision, step
+        self.first, self._n = first, n
+        self._raw = self._split = self._sorted = self._limbs = None
+
+    def __len__(self):
+        return self._n
+
+    @property
+    def raw(self) -> np.ndarray:
+        if self._raw is None:
+            first, n, z = self.first, self._n, self.step
+            if self.precision == 64:  # uint64 products wrap mod 2^64
+                self._raw = np.arange(first, first + n, dtype=np.uint64) * np.uint64(z)
+            else:
+                self._raw = np.arange(first, first + n, dtype=object) * z % self.modulus
+        return self._raw
+
+    def prefix(self, n: int):
+        head = copy.copy(self)
+        head._n = len(range(self._n)[:n])  # as many points as raw[:n] holds
+        head._sorted = head._limbs = None
+        if self._raw is not None:
+            head._raw = self._raw[:n]
+        if self._split is not None:
+            head._split = tuple(limb[:n] for limb in self._split)
+        return head
 
 
 def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
@@ -248,7 +275,7 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if spec.kind == "vdc":
         return _vdc_batch(spec.base, N, spec.include_zero, spec.precision)
     if spec.kind == "kronecker":
-        return _kronecker_batch(spec.z_spec, start, N, spec.precision)
+        return RotationBatch(spec.precision, resolve_z(spec.z_spec, spec.precision), start, N)
     if spec.kind == "sqrt_frac":
         # floor(sqrt(n) 2^P) mod 2^P is floor({sqrt n} 2^P): 0 on perfect squares
         P = spec.precision
@@ -258,6 +285,10 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
 
 
 def kronecker_orbit(z_spec, N: int, precision=DEFAULT_PRECISION,
-                    first: int = 1) -> FixedBatch:
-    """Points {n z} for n = first .. first+N-1 (default starts at n=1)."""
-    return _kronecker_batch(z_spec, first, N, precision)
+                    first: int = 1) -> RotationBatch:
+    """Points {n z} for n = first .. first+N-1 (default starts at n=1).
+
+    The batch holds z, the start and N, and builds its points only when
+    something reads them.
+    """
+    return RotationBatch(precision, resolve_z(z_spec, precision), first, N)

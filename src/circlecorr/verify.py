@@ -21,7 +21,7 @@ from .numutil import _exact_threshold_numerator, threshold_from
 from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
                        pair_count_fast, pair_count_naive, per_point_counts,
                        rotation_count, sorted_raw)
-from .sequences import (FixedBatch, SequenceSpec, generate, iid_uniform,
+from .sequences import (FixedBatch, SequenceSpec, generate, golden_raw, iid_uniform,
                         kronecker_orbit, resolve_z)
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
                        lemma9_bounds_check, predict_gaps)
@@ -199,17 +199,31 @@ def suite_thm6(n_cap: int = 2 * 10 ** 6):
 def suite_thm7():
     """F_{q_h}^1(1/2) = 0 exactly, and F_{q_h}^alpha(s) -> 2s for alpha < 1."""
     report = VerificationReport("thm7")
+    hs = list(itertools.takewhile(lambda h: cfmod.fibonacci(h) <= 1.4 * 10 ** 6,
+                                  itertools.count(3)))
     bad = []
-    h = 3
-    while cfmod.fibonacci(h) <= 1.4 * 10 ** 6:
-        n = cfmod.fibonacci(h)
-        res = f_stat(kronecker_orbit("golden", n), Fraction(1, 2), 1)
+    for h in hs:
+        res = f_stat(kronecker_orbit("golden", cfmod.fibonacci(h)), Fraction(1, 2), 1)
         if res.ordered_pair_count != 0 or res.ambiguous_pairs != 0:
             bad.append(h)
-        h += 1
-    report.add(f"F_N^1(1/2) at Fibonacci N up to {cfmod.fibonacci(h - 1)}",
+    report.add(f"F_N^1(1/2) at Fibonacci N up to {cfmod.fibonacci(hs[-1])}",
                "count 0, 0 ambiguous", f"violations at h={bad}" if bad else "all zero",
                "exact", not bad)
+    # golden_raw is within 1/2 ulp (plus 2^(P-192)) of z 2^P, so a pair at lag
+    # d < N lies within N/2 ulps of its true distance, and t within 1/2 ulp of
+    # 2^P/(2N): a pair truly within 1/(2N) is within t + ceil(N/2) + 1 on the
+    # grid, and a zero count there is a zero count for the irrational z itself
+    uncertified = []
+    for precision in (64, 128):
+        for h in hs:
+            n = cfmod.fibonacci(h)
+            t = threshold_from(Fraction(1, 2), n, 1, precision=precision).distance.value
+            if rotation_count(golden_raw(precision), n, t + (n + 1) // 2 + 1, 1 << precision):
+                uncertified.append((precision, h))
+    report.add("F_N^1(1/2) for the true golden z at the same N, P = 64 and 128",
+               "count 0 at t + ceil(N/2) + 1",
+               f"nonzero at (P, h)={uncertified}" if uncertified else "all zero",
+               "N/2 + 1 ulps", not uncertified)
     orbit30 = kronecker_orbit("golden", cfmod.fibonacci(30))
     orbit15 = orbit30.prefix(cfmod.fibonacci(15))
     for alpha in (0.3, 0.5, 0.7):

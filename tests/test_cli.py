@@ -443,6 +443,38 @@ def test_a_decimal_exponent_past_4300_is_usage_error(capsys):
     assert code == 2 and out == "" and "4300" in err
 
 
+@pytest.mark.parametrize("argv", [["cf", "1.0e-100000000"],
+                                  ["gen", "--n", "3", "--z", "0.1234567890123456789012e-100000000"],
+                                  ["fstat", "--n", "3", "--z", "0.1234567890123456789012e100000000"]])
+def test_a_huge_decimal_exponent_fails_fast(argv, capsys):
+    # 10^(10^8) would take minutes to build
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and "4300" in err
+
+
+def test_fstat_kronecker_never_builds_its_orbit(capsys):
+    # building the 3 10^6-point uint64 orbit takes 22.9 MB of tracemalloc
+    # peak; counting from the step measured 0.06-0.23 MB
+    argv = ["fstat", "--seq", "kronecker", "--n", "100000,1000000,3000000",
+            "--alpha", "0.5,0.9", "--s", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 7
+    assert peak < 2 * 2 ** 20
+
+
+def test_fstat_kronecker_still_honours_the_cap(capsys):
+    code, out, err = run_cli(["fstat", "--seq", "kronecker", "--n", "10,3000000",
+                              "--max-points", "2999999"], capsys)
+    assert code == 2 and out == "" and "cap" in err
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     for argv in ("cf 1/2 --guard-band 3", "gen --n 3 --guard-band 3", "gen --n 3 --format text",
                  "gaps --n 3 --guard-band 3", "cf 1/2 --precision 128", "cf 1/2 --max-points 5",

@@ -735,6 +735,14 @@ def test_f_stat_rotation_prefixes_and_profile():
         [(r.ordered_pair_count, r.ambiguous_pairs) for r in plain]
 
 
+def test_f_stat_profile_never_builds_a_rotation_orbit():
+    orbit = kronecker_orbit("golden", 3 * 10 ** 6)
+    table = f_stat_profile(orbit, [10 ** 5, 10 ** 6, 3 * 10 ** 6], [0.5, 0.9], [1])
+    assert orbit._raw is None
+    assert [r.n for r in table] == [10 ** 5] * 2 + [10 ** 6] * 2 + [3 * 10 ** 6] * 2
+    assert all(r.ambiguous_pairs == 0 and r.ordered_pair_count > 0 for r in table)
+
+
 @st.composite
 def progression_cases(draw):
     # arithmetic progressions raw[i] = r0 + i z on the two fixed-point

@@ -93,6 +93,55 @@ def test_kronecker_batch_matches_scalar():
         assert int(batch.raw[n]) == (n * z) % M64
 
 
+def test_resolve_z_counts_digits_before_the_exponent():
+    # 24 characters follow the point, but only one digit before the exponent
+    with pytest.raises(ValueError, match="got 1"):
+        resolve_z("0.5e-0000000000000000000000")
+    digits = "0.6180339887498948482045868"
+    assert resolve_z(digits + "e0") == resolve_z(digits)
+    assert resolve_z("0.1234567890123456789012e-1") == resolve_z("0.01234567890123456789012")
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_lazy_rotation_points_are_the_eager_formula(precision):
+    modulus = 1 << precision
+    z = golden_raw(precision)
+    for first in (0, 1, 5):
+        spec = SequenceSpec("kronecker", precision=precision)
+        for batch in (kronecker_orbit("golden", 300, precision=precision, first=first),
+                      generate(spec, 300, start=first)):
+            assert batch._raw is None and len(batch) == 300
+            assert batch.raw.dtype == (np.uint64 if precision == 64 else object)
+            assert [int(v) for v in batch.raw] == [(first + i) * z % modulus
+                                                   for i in range(300)]
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_rotation_prefix_before_and_after_the_points_are_built(precision):
+    orbit = kronecker_orbit("golden", 100, precision=precision)
+    lazy = orbit.prefix(30)
+    assert orbit._raw is None and lazy._raw is None  # a prefix builds nothing
+    assert (len(lazy), lazy.step, lazy.first) == (30, orbit.step, 1)
+    assert len(orbit.prefix(500)) == 100 and len(orbit.prefix(0)) == 0
+    full = list(orbit.raw)
+    assert list(lazy.raw) == full[:30]
+    orbit.split()
+    built = orbit.prefix(30)
+    assert built.step == orbit.step and np.shares_memory(built.raw, orbit.raw)
+    assert all(np.shares_memory(a, b) for a, b in zip(built.split(), orbit.split()))
+    assert list(built.raw) == full[:30] and list(built.sorted()) == sorted(full[:30])
+
+
+def test_lazy_rotation_limbs_at_p128():
+    # split() and limbs() build the points of a batch nothing has read yet
+    z = resolve_z(Fraction(3, 7), 128)
+    vals = [n * z % (1 << 128) for n in range(1, 51)]
+    high, low = kronecker_orbit(Fraction(3, 7), 50, precision=128).split()
+    assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == vals
+    high, low = kronecker_orbit(Fraction(3, 7), 50, precision=128).prefix(20).limbs()
+    assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == sorted(vals[:20])
+
+
 def test_kronecker_orbit_starts_at_one():
     orbit = kronecker_orbit("golden", 3)
     assert int(orbit.raw[0]) == resolve_z("golden")

@@ -32,3 +32,17 @@ def test_thm6_closed_form_fails_on_a_count_off_by_two():
     grid = next(c for c in report.checks if GRID in c.description)
     assert not grid.passed and grid.observed == "1 mismatches"
     assert not report.passed
+
+
+CERTIFICATE = "true golden z"
+
+
+def test_thm7_certifies_the_zero_counts_for_the_true_golden_z():
+    report = verify.suite_thm7()
+    cert = [c for c in report.checks if CERTIFICATE in c.description]
+    assert len(cert) == 1 and cert[0].passed and report.passed
+    # the certificate reads its own counts: a nonzero one fails it alone
+    with mock.patch.object(verify, "rotation_count", lambda *args: 1):
+        report = verify.suite_thm7()
+    assert [c.passed for c in report.checks if CERTIFICATE in c.description] == [False]
+    assert all(c.passed for c in report.checks if CERTIFICATE not in c.description)
