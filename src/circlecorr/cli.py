@@ -20,9 +20,12 @@ from fractions import Fraction
 from .numutil import DEFAULT_GUARD_ULPS, _decimal_fraction
 from .pointio import (format_point, read_points_binary, read_points_csv,
                       write_points_binary, write_points_csv)
-from .sequences import SequenceSpec, generate, kronecker_orbit
+from .sequences import RationalBatch, SequenceSpec, generate, kronecker_orbit
 
 DEFAULT_MAX_POINTS = 1 << 27
+# the last golden convergent numerator F_(terms+1) keeps <= 4300 digits, the
+# longest int Python prints by default
+GOLDEN_MAX_TERMS = 20576
 # the keys of verify.SUITES, kept here so that parsing loads no suite
 SUITE_NAMES = ("lemma10", "lemma11", "lemma12", "lemma9", "oracle", "thm6", "thm7", "threegap")
 
@@ -131,6 +134,8 @@ def _exact(text) -> Fraction:
 def cmd_gen(args):
     _check_cap(args.n, args.max_points)
     batch = generate(_spec_from_args(args), args.n)
+    if isinstance(batch, RationalBatch):  # exact vdc points, written on the --precision grid
+        batch = batch.to_fixed(args.precision)
     if args.binary:
         path = args.out
         if not path:
@@ -211,6 +216,9 @@ def cmd_gaps(args):
 def cmd_cf(args):
     from . import cf as cfmod
     if args.value == "golden":
+        if args.terms > GOLDEN_MAX_TERMS:
+            raise UsageError(f"cf golden prints at most {GOLDEN_MAX_TERMS} terms: the "
+                             "convergents of more exceed Python's 4300-digit int limit")
         cf = cfmod.golden_cf(args.terms)
     else:
         value = _fraction(args.value) if "/" in args.value or "." in args.value \

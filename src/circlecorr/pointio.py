@@ -4,7 +4,8 @@ A CSV file is a "value" header and one point raw/2^P per line, written
 with 20 significant digits (fewer when they hold the value exactly) and
 read back as the nearest grid value.  A binary file holds each point as
 P/8 little-endian bytes, its uint64 limbs, low limb first.  Malformed
-input is a ValueError that names the line.
+input is a ValueError that names the line.  The writers take a batch on
+the 2^P grid: convert an exact batch with ``RationalBatch.to_fixed(P)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .sequences import FixedBatch, RationalBatch
+from .sequences import FixedBatch
 
 _WORK = Context(prec=60)  # working precision of parse_point
 _GRID = {precision: Decimal(1 << precision) for precision in (64, 128)}
@@ -205,7 +206,6 @@ def parse_point(text: str, precision: int) -> int:
 
 
 def write_points_csv(batch, stream):
-    batch = _fixed(batch)
     words = _words(batch)
     stream.write("value\n")
     for i in range(0, len(batch), _IO_BLOCK):
@@ -215,7 +215,6 @@ def write_points_csv(batch, stream):
 
 def write_points_binary(batch, stream):
     """Each point as precision/8 little-endian bytes: its uint64 limbs, low limb first."""
-    batch = _fixed(batch)
     words = _words(batch)
     for i in range(0, len(batch), _IO_BLOCK):
         block = np.column_stack([word[i:i + _IO_BLOCK] for word in words])
@@ -241,7 +240,3 @@ def read_points_binary(stream, precision: int) -> FixedBatch:
         raise ValueError(f"binary point file length is not a multiple of {width}")
     return FixedBatch.from_limbs(precision, np.frombuffer(data, dtype="<u8")
                                  .reshape(-1, precision // 64))
-
-
-def _fixed(batch):
-    return batch.to_fixed() if isinstance(batch, RationalBatch) else batch

@@ -115,19 +115,30 @@ class Batch:
     ``raw`` is one numpy array: uint64 when the modulus is at most 2^64,
     Python ints (dtype=object) above that.  Values lie in [0, modulus) and
     are not modified after construction, so the sorted views stay valid.
-    A rotation orbit (RotationBatch) also keeps its step,
-    raw[i] = raw[0] + i step mod modulus, and builds raw only when it is read.
+    A batch given in a compact form (the (high, low) limbs of ``split()``,
+    or a rotation step) builds ``raw`` by ``_build`` only when it is read.
     """
 
     step = None
 
     def __init__(self, raw, modulus: int):
         self.modulus = modulus
-        self.raw = np.asarray(raw, dtype=np.uint64 if modulus <= _U64_LIMIT else object)
-        self._split = self._sorted = self._limbs = None
+        self._raw = self._split = self._sorted = self._limbs = None
+        if raw is not None:
+            self._raw = np.asarray(raw, dtype=np.uint64 if modulus <= _U64_LIMIT else object)
+            self._n = len(self._raw)
 
     def __len__(self):
-        return len(self.raw)
+        return self._n
+
+    @property
+    def raw(self) -> np.ndarray:
+        if self._raw is None:
+            self._raw = self._build()
+        return self._raw
+
+    def _build(self) -> np.ndarray:
+        return join_limbs(*self._split)
 
     def sorted(self) -> np.ndarray:
         if self._sorted is None:
@@ -152,9 +163,12 @@ class Batch:
         return self._limbs
 
     def prefix(self, n: int):
-        """The first n points, as a batch of the same kind."""
+        """The first n points, as a batch of the same kind; slices only what is built."""
         head = copy.copy(self)
-        head.raw, head._sorted, head._limbs = self.raw[:n], None, None
+        head._n = len(range(self._n)[:n])  # as many points as raw[:n] holds
+        head._sorted = head._limbs = None
+        if self._raw is not None:
+            head._raw = self._raw[:n]
         if self._split is not None:
             head._split = tuple(limb[:n] for limb in self._split)
         return head
@@ -173,8 +187,8 @@ class FixedBatch(Batch):
         if precision == 64:
             return cls(64, limbs[:, 0])
         low, high = limbs.T
-        batch = cls(precision, join_limbs(high, low))
-        batch._split = high, low  # already at hand, so split() need not redo it
+        batch = cls(precision, None)
+        batch._n, batch._split = len(limbs), (high, low)  # raw is joined only when read
         return batch
 
 
@@ -233,32 +247,14 @@ class RotationBatch(FixedBatch):
     """
 
     def __init__(self, precision: int, step: int, first: int, n: int):
-        self.precision, self.modulus, self.step = precision, 1 << precision, step
-        self.first, self._n = first, n
-        self._raw = self._split = self._sorted = self._limbs = None
+        super().__init__(precision, None)
+        self.step, self.first, self._n = step, first, n
 
-    def __len__(self):
-        return self._n
-
-    @property
-    def raw(self) -> np.ndarray:
-        if self._raw is None:
-            first, n, z = self.first, self._n, self.step
-            if self.precision == 64:  # uint64 products wrap mod 2^64
-                self._raw = np.arange(first, first + n, dtype=np.uint64) * np.uint64(z)
-            else:
-                self._raw = np.arange(first, first + n, dtype=object) * z % self.modulus
-        return self._raw
-
-    def prefix(self, n: int):
-        head = copy.copy(self)
-        head._n = len(range(self._n)[:n])  # as many points as raw[:n] holds
-        head._sorted = head._limbs = None
-        if self._raw is not None:
-            head._raw = self._raw[:n]
-        if self._split is not None:
-            head._split = tuple(limb[:n] for limb in self._split)
-        return head
+    def _build(self) -> np.ndarray:
+        first, n, z = self.first, self._n, self.step
+        if self.precision == 64:  # uint64 products wrap mod 2^64
+            return np.arange(first, first + n, dtype=np.uint64) * np.uint64(z)
+        return np.arange(first, first + n, dtype=object) * z % self.modulus
 
 
 def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cf as cfmod
 from .numutil import DEFAULT_PRECISION, circle_dist_raw, threshold_from
-from .paircorr import min_pair_distance, sorted_raw, window_counts
+from .paircorr import sorted_raw, window_counts
 from .sequences import kronecker_orbit, resolve_z
 
 
@@ -41,11 +41,9 @@ class GapCensus:
         return sum(length * mult for length, mult in self.entries)
 
 
-def gap_census(points, merge_ulps: int = 0) -> GapCensus:
+def gap_census(points) -> GapCensus:
     """Sort a batch and tally its N circular gaps by exact raw length.
 
-    ``merge_ulps`` optionally merges length groups closer than the given
-    number of raw units (multiplicities add, the smaller length is kept).
     Duplicate points surface as zero-length gaps and set a flag.
     """
     a, modulus = sorted_raw(points)
@@ -58,14 +56,6 @@ def gap_census(points, merge_ulps: int = 0) -> GapCensus:
     gaps = np.concatenate([np.diff(a), wrap])
     lengths, mults = np.unique(gaps, return_counts=True)
     entries = [(int(g), int(c)) for g, c in zip(lengths, mults)]
-    if merge_ulps:
-        merged = [list(entries[0])]
-        for length, mult in entries[1:]:
-            if length - merged[-1][0] <= merge_ulps:
-                merged[-1][1] += mult
-            else:
-                merged.append([length, mult])
-        entries = [tuple(e) for e in merged]
     return GapCensus(entries, modulus, n, gaps, has_duplicates=entries[0][0] == 0)
 
 
@@ -186,7 +176,6 @@ class Lemma9Check:
     lower: float
     upper: float
     passed: bool
-    vacuous: bool
 
 
 def lemma9_bounds_check(l: int, N: int, s, alpha,
@@ -194,8 +183,7 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
     """Count m != l with ||x_l - x_m|| <= s/N^alpha in the golden orbit x_n = {n phi}.
 
     The count is normalized by N^(1-alpha): the full statistic's N^(2-alpha)
-    normalization includes the factor N of choices of l.  When the threshold
-    undercuts the minimal gap the count is zero and the check is vacuous.
+    normalization includes the factor N of choices of l.
     """
     if not 1 <= l <= N:
         raise ValueError("need 1 <= l <= N")
@@ -207,7 +195,5 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
     normalized = count / N ** (1 - float(alpha))
     s_f = float(s)
     lower, upper = s_f / 2, 4 * s_f
-    vacuous = count == 0 and t < min_pair_distance(orbit)
-    return Lemma9Check(l, count, normalized, lower, upper,
-                       lower < normalized < upper, vacuous)
+    return Lemma9Check(l, count, normalized, lower, upper, lower < normalized < upper)
 

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from circlecorr import cli, pointio
+from circlecorr import cli, pointio, sequences
+from circlecorr.cf import fibonacci, golden_cf
 from circlecorr.cli import main
 from circlecorr.numutil import threshold_from
-from circlecorr.paircorr import f_stat, pair_count_naive
+from circlecorr.paircorr import f_stat, f_stat_profile, pair_count_naive
 from circlecorr.pointio import (format_point, parse_point, read_points_binary,
                                 read_points_csv, write_points_binary, write_points_csv)
 from circlecorr.sequences import FixedBatch, SequenceSpec, generate, iid_uniform
@@ -475,6 +476,61 @@ def test_fstat_kronecker_still_honours_the_cap(capsys):
     assert code == 2 and out == "" and "cap" in err
 
 
+def test_f_stat_on_a_p128_binary_file_never_joins_its_limbs(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "pts128.bin")
+    assert main(["gen", "--seq", "iid", "--seed", "6", "--precision", "128", "--n", "400",
+                 "--binary", "--out", path]) == 0
+    with open(path, "rb") as stream:
+        batch = read_points_binary(stream, 128)
+    eager = FixedBatch(128, [int(h) << 64 | int(l) for h, l in zip(*batch.split())])
+
+    def refuse(*_):
+        raise AssertionError("raw was built")
+
+    monkeypatch.setattr(sequences, "join_limbs", refuse)
+    args = [200, 400], [Fraction(1, 2), 1], [1]
+    lazy = f_stat_profile(batch, *args)
+    assert batch._raw is None
+    code, out, _ = run_cli(["fstat", "--points", path, "--points-format", "binary",
+                            "--precision", "128", "--n", "200,400"], capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    monkeypatch.undo()
+    counts = [r.ordered_pair_count for r in f_stat_profile(eager, *args)]
+    assert [r.ordered_pair_count for r in lazy] == counts
+
+
+def test_gen_vdc_at_p128_writes_p128_points(tmp_path):
+    fixed = generate(SequenceSpec("vdc", base=3), 6).to_fixed(128)
+    expect = [int(v) for v in fixed.raw]
+    binary, text = str(tmp_path / "v.bin"), str(tmp_path / "v.csv")
+    argv = ["gen", "--seq", "vdc", "--base", "3", "--n", "6", "--precision", "128"]
+    assert main(argv + ["--binary", "--out", binary]) == 0
+    with open(binary, "rb") as stream:
+        assert [int(v) for v in read_points_binary(stream, 128).raw] == expect
+    assert main(argv + ["--out", text]) == 0
+    buf = io.StringIO()
+    write_points_csv(fixed, buf)
+    assert Path(text).read_text() == buf.getvalue()
+    # a CSV point keeps 20 significant digits, at P = 128 as for any batch
+    with open(text) as stream:
+        assert [int(v) for v in read_points_csv(stream, 128).raw] == \
+            [parse_point(format_point(v, 128), 128) for v in expect]
+
+
+def test_cf_golden_refuses_terms_whose_convergents_cannot_print(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["cf", "golden", "--terms", "100000000"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and str(cli.GOLDEN_MAX_TERMS) in err
+    # the last of n golden convergents is F_(n+1)/F_n; at the cap it has 4300 digits
+    assert golden_cf(10).convergent(9) == (fibonacci(11), fibonacci(10))
+    assert fibonacci(cli.GOLDEN_MAX_TERMS + 1) < 10 ** 4300 <= fibonacci(cli.GOLDEN_MAX_TERMS + 2)
+    assert run_cli(["cf", "golden", "--terms", str(cli.GOLDEN_MAX_TERMS + 1)], capsys)[0] == 2
+    # an exact fraction's expansion ends on its own, whatever --terms says
+    code, out, _ = run_cli(["cf", "1/3", "--terms", "100000000"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "1,3,1,3"
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     for argv in ("cf 1/2 --guard-band 3", "gen --n 3 --guard-band 3", "gen --n 3 --format text",
                  "gaps --n 3 --guard-band 3", "cf 1/2 --precision 128", "cf 1/2 --max-points 5",
@@ -624,6 +680,8 @@ OUTPUT_DIGESTS = {
         "84681066acf08a2ca546be365c85ec2dcecc88508fb00f6099444dfb37cddbfa"),
     "fstat-points128-csv": ("fstat --points pts128.csv --precision 128 --n 200,400 --alpha 0.5,1 --s 1",
         "b8b88bcea097b21ed4cd27071eac23562469d93459c56a435aa4544600acf9d9"),
+    "gen-vdc3-128-csv": ("gen --seq vdc --base 3 --precision 128 --n 500",
+        "a53d0b9405681ed5bd759bb558472903384f0a14ca0083cf9a98a98de6a5f339"),
 }
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, SequenceSpec, generate,
-                                  golden_raw, iid_uniform, join_limbs, kronecker_orbit,
+from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, RotationBatch, SequenceSpec,
+                                  generate, golden_raw, iid_uniform, join_limbs, kronecker_orbit,
                                   resolve_z, split_limbs)
 
 M64 = 1 << 64
@@ -140,6 +140,40 @@ def test_lazy_rotation_limbs_at_p128():
     assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == vals
     high, low = kronecker_orbit(Fraction(3, 7), 50, precision=128).prefix(20).limbs()
     assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == sorted(vals[:20])
+
+
+def test_limb_batch_joins_its_points_only_when_read():
+    rng = np.random.default_rng(2)
+    limbs = rng.integers(0, 2 ** 64, size=(300, 2), dtype=np.uint64)  # low limb first
+    batch = FixedBatch.from_limbs(128, limbs)
+    assert batch._raw is None and len(batch) == 300
+    assert list(batch.raw) == list(join_limbs(*batch.split()))
+    assert list(batch.raw) == [int(h) << 64 | int(l) for l, h in limbs]
+
+
+def _lazy_batch(kind):
+    if kind == "limbs":
+        return iid_uniform(100, seed=4, precision=128)
+    return kronecker_orbit("golden", 100, precision=128)
+
+
+@pytest.mark.parametrize("kind", ["limbs", "rotation"])
+@pytest.mark.parametrize("built", [False, True])
+def test_prefix_before_and_after_raw_is_built(kind, built):
+    full = [int(v) for v in _lazy_batch(kind).raw]
+    batch = _lazy_batch(kind)
+    if built:
+        batch.raw
+    head = batch.prefix(30)
+    assert (head._raw is None) is not built
+    assert len(head) == 30 and len(batch.prefix(500)) == 100 and len(batch.prefix(0)) == 0
+    assert [int(v) for v in head.raw] == full[:30]
+    assert [int(h) << 64 | int(l) for h, l in zip(*head.limbs())] == sorted(full[:30])
+    assert len(batch) == 100 and [int(v) for v in batch.raw] == full
+
+
+def test_rotation_batch_inherits_raw_len_and_prefix():
+    assert not {"raw", "__len__", "prefix"} & set(vars(RotationBatch))
 
 
 def test_kronecker_orbit_starts_at_one():

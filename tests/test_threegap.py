@@ -56,12 +56,6 @@ def test_census_matches_loop_reference(precision):
         assert census.total_length() == m
 
 
-def test_census_merge_ulps():
-    pts = FixedBatch(64, np.array([0, 10, 21], dtype=np.uint64))
-    merged = gap_census(pts, merge_ulps=1)
-    assert [m for _, m in merged.entries] == [2, 1]
-
-
 @given(st.integers(min_value=2, max_value=10 ** 6))
 def test_gap_decomposition_reconstructs(n):
     quots = [0] + [1] * 40
