@@ -204,15 +204,13 @@ def golden_ostrowski(N: int) -> OstrowskiRep:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    m = 2
-    while fibonacci(m + 1) <= N:
-        m += 1
-    indices = list(range(1, m + 1))
-    weights = [fibonacci(h) for h in indices]
-    caps = [1] * len(indices)
-    coeffs = _greedy(N, weights, caps)
-    shifted = [fibonacci(h - 1) for h in indices]  # q_0 = 0
-    return OstrowskiRep(N, coeffs, weights, caps, shifted, indices)
+    ladder = [0, 1, 1, 2]  # F_0 .. F_(m+1), built in one pass up to F_(m+1) > N
+    while ladder[-1] <= N:
+        ladder.append(ladder[-1] + ladder[-2])
+    m = len(ladder) - 2
+    weights, shifted = ladder[1:m + 1], ladder[:m]  # q_h = F_h, q_(h-1) = F_(h-1)
+    coeffs = _greedy(N, weights, [1] * m)
+    return OstrowskiRep(N, coeffs, weights, [1] * m, shifted, list(range(1, m + 1)))
 
 
 def lemma11_ratio(rep: OstrowskiRep) -> Fraction:

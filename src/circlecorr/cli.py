@@ -3,23 +3,26 @@
 Subcommands: gen (write points), fstat (F statistic sweeps), gaps
 (three-gap census and prediction), cf (continued fraction expansion),
 ostrowski (digit representations), verify (named check suites).
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when
+the reader closes stdout early (as for a tool stopped by SIGPIPE).
 
-Beyond point I/O and generation, each subcommand imports only what it runs:
-fstat paircorr, gaps threegap, cf and ostrowski cf, and verify the suites.
+Each subcommand imports only what it runs: fstat paircorr, gaps threegap,
+cf and ostrowski cf, verify the suites, and the point-file forwarders pointio.
+numpy runs only once points are built: never in fstat on a rotation, cf,
+ostrowski or verify thm7.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import math
+import os
 import sys
 from fractions import Fraction
 
 from .numutil import DEFAULT_GUARD_ULPS, _decimal_fraction
-from .pointio import (format_point, read_points_binary, read_points_csv,
-                      write_points_binary, write_points_csv)
 from .sequences import RationalBatch, SequenceSpec, generate, kronecker_orbit
 
 DEFAULT_MAX_POINTS = 1 << 27
@@ -32,6 +35,21 @@ SUITE_NAMES = ("lemma10", "lemma11", "lemma12", "lemma9", "oracle", "thm6", "thm
 
 class UsageError(Exception):
     pass
+
+
+def _forward(module, name):
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+    return call
+
+
+# functions bound here (the bench tracer wraps them) that import their module on first call
+format_point = _forward(".pointio", "format_point")
+read_points_binary = _forward(".pointio", "read_points_binary")
+read_points_csv = _forward(".pointio", "read_points_csv")
+write_points_binary = _forward(".pointio", "write_points_binary")
+write_points_csv = _forward(".pointio", "write_points_csv")
+run_suite = _forward(".verify", "run_suite")
 
 
 # --- argument plumbing -------------------------------------------------------
@@ -249,15 +267,10 @@ def cmd_ostrowski(args):
             for j in range(len(rep.coeffs)):
                 stream.write(f"{rep.indices[j]},{rep.coeffs[j]},{rep.weights[j]}\n")
         else:
-            terms = " + ".join(f"{b}*{rep.weights[rep.indices.index(i)]}"
-                               for i, b in rep.nonzero())
+            terms = " + ".join(f"{rep.coeffs[j]}*{rep.weights[j]}"
+                               for j in reversed(range(len(rep.coeffs))) if rep.coeffs[j])
             stream.write(f"{args.n} = {terms}  (digits {rep})\n")
     return 0
-
-
-def run_suite(name):  # verify.run_suite, imported on the first call
-    from .verify import run_suite
-    return run_suite(name)
 
 
 def cmd_verify(args):
@@ -331,6 +344,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

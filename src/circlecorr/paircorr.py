@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+from . import _lazy_module
 from .numutil import (DEFAULT_GUARD_ULPS, Threshold, _exact_threshold_numerator,
                       _finite_fraction, threshold_from)
 from .sequences import Batch, RationalBatch, split_limbs
 
-_U64 = np.uint64
+np = _lazy_module("numpy")
 _FULL64 = 1 << 64
 _FULL128 = 1 << 128
 _MASK64 = _FULL64 - 1
@@ -115,8 +114,8 @@ def _shift(x: tuple, c: int, modulus: int) -> tuple:
     high, low = x
     if low is not None:  # the limbs wrap mod 2^128 on their own
         c %= modulus
-        total = low + _U64(c & _MASK64)
-        return high + _U64(c >> 64) + (total < low), total
+        total = low + np.uint64(c & _MASK64)
+        return high + np.uint64(c >> 64) + (total < low), total
     # a value that would pass 0 or the modulus is recomputed from the
     # complementary offset, which fits uint64 on every modulus up to 2^64
     d, top = abs(c), modulus - 1 - abs(c)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
+from . import _lazy_module
 from .numutil import DEFAULT_PRECISION, _check_precision, _decimal_fraction
 
+np = _lazy_module("numpy")
 # floor(frac(phi) * 2^192); frac(phi) = (sqrt(5) - 1) / 2
 _GOLDEN_BITS = 192
 _GOLDEN_FRAC_192 = (math.isqrt(5 << (2 * _GOLDEN_BITS)) - (1 << _GOLDEN_BITS)) // 2

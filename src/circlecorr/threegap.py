@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from . import cf as cfmod
+from . import _lazy_module, cf as cfmod
 from .numutil import DEFAULT_PRECISION, circle_dist_raw, threshold_from
 from .paircorr import sorted_raw, window_counts
 from .sequences import kronecker_orbit, resolve_z
+
+np = _lazy_module("numpy")
 
 
 @dataclass

@@ -14,9 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import cf as cfmod
+from . import _lazy_module, cf as cfmod
 from .numutil import _exact_threshold_numerator, threshold_from
 from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
                        pair_count_fast, pair_count_naive, per_point_counts,
@@ -25,6 +23,8 @@ from .sequences import (FixedBatch, SequenceSpec, generate, golden_raw, iid_unif
                         kronecker_orbit, resolve_z)
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
                        lemma9_bounds_check, predict_gaps)
+
+np = _lazy_module("numpy")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,19 @@ def test_golden_ostrowski_is_zeckendorf(n):
     assert sum(b * w for b, w in zip(rep.coeffs, rep.weights)) == n
     support = [i for i, b in rep.nonzero()]
     # no two adjacent Fibonacci indices
+    assert all(a - b >= 2 for a, b in zip(support, support[1:]))
+
+
+def test_golden_ostrowski_of_a_4300_digit_n_is_fast():
+    n = 10 ** 4299
+    start = time.perf_counter()
+    rep = golden_ostrowski(n)
+    assert time.perf_counter() - start < 2
+    w = rep.weights  # the Fibonacci ladder F_1 .. F_m, with F_m <= N < F_(m+1)
+    assert w[:2] == [1, 1] and all(c == a + b for a, b, c in zip(w, w[1:], w[2:]))
+    assert w[-1] <= n < w[-1] + w[-2] and rep.shifted == [0] + w[:-1]
+    assert set(rep.coeffs) <= {0, 1} and sum(b * q for b, q in zip(rep.coeffs, w)) == n
+    support = [i for i, b in rep.nonzero()]
     assert all(a - b >= 2 for a, b in zip(support, support[1:]))
 
 

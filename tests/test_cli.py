@@ -590,11 +590,16 @@ def test_verify_choices_are_the_suites():
 
 
 def modules_after(argv, cwd):
-    """The circlecorr modules and mpmath loaded by a fresh child after cli.main(argv)."""
+    """The circlecorr modules and mpmath loaded by a fresh child after cli.main(argv).
+
+    "numpy" is among them if numpy executed: a lazily bound numpy sits in
+    sys.modules unexecuted, and only its submodules show that it ran.
+    """
     code = ("import sys\n"
             "from circlecorr import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "print(*sorted(m for m in sys.modules if m == 'mpmath' or m.startswith('circlecorr.')))")
+            "print(*sorted(m for m in sys.modules if m == 'mpmath' or m.startswith('circlecorr.')),\n"
+            "      *['numpy'] * any(m.startswith('numpy.') for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -618,6 +623,30 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     # only the lemma12 suite needs mpmath
     loaded = modules_after(["verify", "threegap", "--out", "r.txt"], tmp_path)
     assert "circlecorr.verify" in loaded and "mpmath" not in loaded
+
+
+def test_only_commands_that_build_points_execute_numpy(tmp_path):
+    for argv in ("fstat --seq kronecker --n 100000,1000000 --alpha 0.5,0.9 --s 1 --out k.csv",
+                 "fstat --seq kronecker --precision 128 --n 987,3000 --alpha 0.5,1 --out k.csv",
+                 "cf golden --out c.csv", "cf 355/113 --out c.csv", "ostrowski 1000 --out o.csv",
+                 "verify thm7 --out r.txt"):
+        assert "numpy" not in modules_after(argv.split(), tmp_path), argv
+    for argv in ("gen --n 100 --out F", "fstat --seq vdc --n 100 --out v.csv",
+                 "fstat --points F --n 100 --out f.csv", "gaps --n 100 --out g.csv"):
+        assert "numpy" in modules_after(argv.split(), tmp_path), argv
+
+
+@pytest.mark.parametrize("argv", ["gen --n 1000000", "cf golden --terms 3000"])
+def test_a_closed_stdout_exits_141_quietly(argv):
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "circlecorr.cli", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    assert proc.wait(timeout=10) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert time.perf_counter() - start < 2
 
 
 def test_entry_point_installed():
@@ -682,6 +711,15 @@ OUTPUT_DIGESTS = {
         "b8b88bcea097b21ed4cd27071eac23562469d93459c56a435aa4544600acf9d9"),
     "gen-vdc3-128-csv": ("gen --seq vdc --base 3 --precision 128 --n 500",
         "a53d0b9405681ed5bd759bb558472903384f0a14ca0083cf9a98a98de6a5f339"),
+    # recorded before the golden Ostrowski ladder was built in one pass
+    "cf-golden-csv": ("cf golden --terms 40",
+        "a245bf7af549ad1402707206b4d1fe79217eec236f79ed76a7ec62a1eadd613a"),
+    "cf-355-113-text": ("cf 355/113 --format text",
+        "8f7194427c7f765b4baddbadd255f73c46754f2339b5eb0220d51f06d7ef373b"),
+    "ostrowski-golden-csv": ("ostrowski 1000000",
+        "3b183bf7ba430d22af97e4a09149a3b816cf7da250ff22840b7fb766ee0276ca"),
+    "ostrowski-355-113-text": ("ostrowski 100 --z 355/113 --format text",
+        "d8756c0b884952d4f0ad9d46bb36279c80f6ce4cad29ba66c5a070de9bfe5516"),
 }
 
 
