@@ -47,11 +47,6 @@ class ContinuedFraction:
         """All (p_i, q_i) pairs, i = 0 .. m."""
         return list(zip(self.p, self.q))
 
-    def convergent(self, i):
-        if i == -1:
-            return (1, 0)
-        return (self.p[i], self.q[i])
-
     def value(self) -> Fraction:
         """Value of the final convergent."""
         return Fraction(self.p[-1], self.q[-1])

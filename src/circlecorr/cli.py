@@ -30,7 +30,8 @@ DEFAULT_MAX_POINTS = 1 << 27
 # longest int Python prints by default
 GOLDEN_MAX_TERMS = 20576
 # the keys of verify.SUITES, kept here so that parsing loads no suite
-SUITE_NAMES = ("lemma10", "lemma11", "lemma12", "lemma9", "oracle", "thm6", "thm7", "threegap")
+SUITE_NAMES = ("iid-mean", "lemma10", "lemma11", "lemma12", "lemma9", "oracle", "performance",
+               "thm6", "thm7", "threegap")
 
 
 class UsageError(Exception):
@@ -239,9 +240,7 @@ def cmd_cf(args):
                              "convergents of more exceed Python's 4300-digit int limit")
         cf = cfmod.golden_cf(args.terms)
     else:
-        value = _fraction(args.value) if "/" in args.value or "." in args.value \
-            else Fraction(int(args.value))
-        cf = cfmod.cf_expand(value, max_terms=args.terms)
+        cf = cfmod.cf_expand(_fraction(args.value), max_terms=args.terms)
     with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("i,a_i,p_i,q_i\n")

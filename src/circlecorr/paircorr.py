@@ -31,7 +31,9 @@ _FULL128 = 1 << 128
 _MASK64 = _FULL64 - 1
 _BLOCK = 1 << 13  # queries per window-kernel step, which bounds its temporaries
 # distance cells per pair_count_naive strip: below N = 4096 each buffer stays
-# under glibc's 128 KB mmap threshold, so calls reuse heap, not fresh pages
+# under glibc's 128 KB mmap threshold and comes from the heap, not from its own
+# mapping; glibc may still trim the freed heap top between calls, so a later
+# call can fault its buffers in again
 _STRIP_CELLS = 3 << 12
 
 
@@ -313,15 +315,6 @@ def pair_count_fast(points, threshold_raw: int, modulus: Optional[int] = None,
 def per_point_counts(a_sorted: np.ndarray, threshold_raw: int, modulus: int) -> np.ndarray:
     """Neighbors within the threshold of each sorted point (its ordered count share)."""
     return window_counts(a_sorted, a_sorted, threshold_raw, modulus) - 1
-
-
-def min_pair_distance(points) -> int:
-    """Minimum circle distance over all pairs, in raw units (sorted neighbors)."""
-    a, modulus = sorted_raw(points)
-    if len(a) < 2:
-        raise ValueError("need at least two points")
-    best = min(int(np.diff(a).min()), (int(a[0]) - int(a[-1])) % modulus)
-    return min(best, modulus - best)
 
 
 # --- the F statistic -------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -59,10 +60,10 @@ def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
     if isinstance(z_spec, str):
         if "/" in z_spec:
             return _nearest_raw(Fraction(z_spec), precision)
-        if "." not in z_spec:
+        if re.fullmatch(r"[+-]?\d+", z_spec):  # an integer, with no point or exponent
             return _nearest_raw(Fraction(int(z_spec)), precision)
         # the digits after the point and before any exponent
-        frac_digits = sum(ch.isdigit() for ch in z_spec.lower().partition("e")[0].split(".")[1])
+        frac_digits = sum(ch.isdigit() for ch in z_spec.lower().partition("e")[0].partition(".")[2])
         if frac_digits * math.log2(10) < precision + 8:
             raise ValueError(
                 f"decimal z needs >= {math.ceil((precision + 8) / math.log2(10))} "
@@ -271,7 +272,7 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if spec.kind == "vdc":
         return _vdc_batch(spec.base, N, spec.include_zero, spec.precision)
     if spec.kind == "kronecker":
-        return RotationBatch(spec.precision, resolve_z(spec.z_spec, spec.precision), start, N)
+        return kronecker_orbit(spec.z_spec, N, spec.precision, first=start)
     if spec.kind == "sqrt_frac":
         # floor(sqrt(n) 2^P) mod 2^P is floor({sqrt n} 2^P): 0 on perfect squares
         P = spec.precision

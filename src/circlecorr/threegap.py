@@ -1,9 +1,10 @@
 """Gap structure of rotation orbits: census, prediction, window large-gap counts.
 
-The census is purely empirical (exact raw gap lengths of a sorted batch);
-the prediction side derives the admissible gap lengths of {nz}, n = 1..N,
-from the Ostrowski digits of N.  The two paths stay independent so one
-can verify the other.
+The census is purely empirical (exact raw gap lengths of a sorted batch),
+and the one sorted-gap routine: its smallest length is the batch's minimal
+pair distance, which `verify lemma12` reads.  The prediction side derives
+the admissible gap lengths of {nz}, n = 1..N, from the Ostrowski digits
+of N.  The two paths stay independent so one can verify the other.
 """
 
 from __future__ import annotations
@@ -23,22 +24,20 @@ np = _lazy_module("numpy")
 class GapCensus:
     """Distinct circular gap lengths (raw units) with multiplicities, ascending.
 
+    For N >= 2 points the smallest length is their minimal pair distance:
+    every gap is at least that long, and so is the circle less any one gap.
+
     ``gaps`` keeps the N gaps themselves in sorted-rank order: gap i runs
     from the point of rank i to that of rank i + 1 (mod N).
     """
 
     entries: list  # (length_raw, multiplicity)
-    modulus: int
-    n_points: int
     gaps: np.ndarray = field(repr=False, compare=False)
     has_duplicates: bool = False
 
     @property
     def lengths(self):
         return [length for length, _ in self.entries]
-
-    def total_length(self):
-        return sum(length * mult for length, mult in self.entries)
 
 
 def gap_census(points) -> GapCensus:
@@ -47,8 +46,7 @@ def gap_census(points) -> GapCensus:
     Duplicate points surface as zero-length gaps and set a flag.
     """
     a, modulus = sorted_raw(points)
-    n = len(a)
-    if n < 2:
+    if len(a) < 2:
         raise ValueError("census needs at least two points")
     # the wrap-around gap keeps a's dtype: a uint64 value >= 2^63 given as a
     # Python int would promote the array to float64
@@ -56,7 +54,7 @@ def gap_census(points) -> GapCensus:
     gaps = np.concatenate([np.diff(a), wrap])
     lengths, mults = np.unique(gaps, return_counts=True)
     entries = [(int(g), int(c)) for g, c in zip(lengths, mults)]
-    return GapCensus(entries, modulus, n, gaps, has_duplicates=entries[0][0] == 0)
+    return GapCensus(entries, gaps, has_duplicates=entries[0][0] == 0)
 
 
 def gap_classes(points) -> tuple:
@@ -89,7 +87,6 @@ class GapPrediction:
     k: int
     m: int
     r: int
-    modulus: int
 
     @property
     def lengths(self):
@@ -145,7 +142,7 @@ def predict_gaps(z_spec, N: int, precision: int = DEFAULT_PRECISION,
         k -= 1
         m, r = divmod(N - (denominators[k - 1] if k >= 1 else 0), denominators[k])
     l2 = kk
-    return GapPrediction(l1, l2, l1 + l2, k, m, r, modulus)
+    return GapPrediction(l1, l2, l1 + l2, k, m, r)
 
 
 def expected_large_gaps(k: int) -> int:

@@ -1,9 +1,10 @@
 """Named verification suites.
 
 Each suite function returns a VerificationReport with one Check per
-assertion; the CLI wires them to `verify <name>` and the acceptance
-tests call them directly.  All randomness is seeded so reruns are
-byte-identical.
+assertion.  SUITES maps every report name to its function, the CLI runs
+them as `verify <name>` (all of them, iid-mean and performance included,
+as `verify all`), and the acceptance tests call them directly.  All
+randomness is seeded so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from fractions import Fraction
 
 from . import _lazy_module, cf as cfmod
 from .numutil import _exact_threshold_numerator, threshold_from
-from .paircorr import (f_stat, f_stat_profile, min_pair_distance,
-                       pair_count_fast, pair_count_naive, per_point_counts,
-                       rotation_count, sorted_raw)
+from .paircorr import (f_stat, f_stat_profile, pair_count_fast, pair_count_naive,
+                       per_point_counts, rotation_count, sorted_raw)
 from .sequences import (FixedBatch, SequenceSpec, generate, golden_raw, iid_uniform,
-                        kronecker_orbit, resolve_z)
+                        kronecker_orbit)
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
                        lemma9_bounds_check, predict_gaps)
 
@@ -356,7 +356,7 @@ def suite_lemma12(h_final: int = 20, h_start: int = 10):
     agree = True
     for h in (10, 15, 20):
         n = cfmod.fibonacci(h)
-        md = min_pair_distance(kronecker_orbit("golden", n))
+        md = gap_census(kronecker_orbit("golden", n)).lengths[0]
         with mpmath.workdps(cfmod._GOLDEN_DPS):
             phi = cfmod.phi_mpf()
             k = 1 / (phi * cfmod.fibonacci(h - 1) + cfmod.fibonacci(h - 2))
@@ -465,7 +465,7 @@ def performance_check(n: int = 10 ** 7, budget_s: float = 10.0):
     # where ||d z|| <= t and C(k) = #{h in H : h <= k}, point i has
     # C(N-1-i) + C(i) neighbours and the total is 2 sum_{d in H} (N - d)
     d = np.arange(1, n, dtype=np.uint64)
-    dz = d * np.uint64(resolve_z("golden"))  # wraps mod 2^64
+    dz = d * np.uint64(orbit.step)  # wraps mod 2^64
     near = np.minimum(dz, np.uint64(0) - dz) <= np.uint64(t)
     c = np.concatenate([[0], np.cumsum(near)])
     total = 2 * int((np.uint64(n) - d[near]).sum())
@@ -488,6 +488,8 @@ SUITES = {
     "lemma11": suite_lemma11,
     "lemma12": suite_lemma12,
     "threegap": suite_threegap,
+    "iid-mean": iid_mean_check,
+    "performance": performance_check,
 }
 
 

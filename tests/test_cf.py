@@ -36,9 +36,10 @@ def test_golden_convergents_are_fibonacci():
 
 def test_convergent_determinant_identity():
     cf = cf_expand(Fraction(199, 71))
+    p, q = [1] + cf.p, [0] + cf.q  # p_-1 = 1, q_-1 = 0
     for i in range(len(cf)):
-        p_i, q_i = cf.convergent(i)
-        p_prev, q_prev = cf.convergent(i - 1)
+        p_i, q_i = p[i + 1], q[i + 1]
+        p_prev, q_prev = p[i], q[i]
         assert p_i * q_prev - p_prev * q_i == (-1) ** (i + 1)
 
 

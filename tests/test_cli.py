@@ -325,6 +325,9 @@ def test_verify_suite_exit_codes(capsys):
     code, out, _ = run_cli(["verify", "lemma12"], capsys)
     assert code == 0
     assert "suite lemma12: PASS" in out
+    code, out, _ = run_cli(["verify", "iid-mean"], capsys)
+    assert code == 0
+    assert out.startswith("suite iid-mean: PASS")
 
 
 def test_verify_writes_its_report_to_out(tmp_path, monkeypatch, capsys):
@@ -523,7 +526,8 @@ def test_cf_golden_refuses_terms_whose_convergents_cannot_print(capsys):
     assert time.perf_counter() - start < 2
     assert code == 2 and out == "" and str(cli.GOLDEN_MAX_TERMS) in err
     # the last of n golden convergents is F_(n+1)/F_n; at the cap it has 4300 digits
-    assert golden_cf(10).convergent(9) == (fibonacci(11), fibonacci(10))
+    cf = golden_cf(10)
+    assert (cf.p[9], cf.q[9]) == (fibonacci(11), fibonacci(10))
     assert fibonacci(cli.GOLDEN_MAX_TERMS + 1) < 10 ** 4300 <= fibonacci(cli.GOLDEN_MAX_TERMS + 2)
     assert run_cli(["cf", "golden", "--terms", str(cli.GOLDEN_MAX_TERMS + 1)], capsys)[0] == 2
     # an exact fraction's expansion ends on its own, whatever --terms says
@@ -574,6 +578,21 @@ def test_zero_denominator_is_usage_error(argv, capsys):
     code, out, err = run_cli(argv.split(), capsys)
     assert code == 2 and out == ""
     assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("value, same_as", [("1e3", "1000"), ("1e-3", "0.001"), ("1E2", "100")])
+def test_cf_reads_an_exponent_without_a_point(value, same_as, capsys):
+    code, out, err = run_cli(["cf", value], capsys)
+    assert code == 0 and err == ""
+    assert out == run_cli(["cf", same_as], capsys)[1]
+
+
+def test_a_decimal_z_in_exponent_form_needs_its_fractional_digits(capsys):
+    code, out, err = run_cli(["fstat", "--n", "5", "--z", "5e-1"], capsys)
+    assert code == 2 and out == ""
+    assert "decimal z needs >= 22 fractional digits" in err
+    # a signed integer z is still {z} = 0
+    assert run_cli(["fstat", "--n", "5", "--z=-3"], capsys)[0] == 0
 
 
 def test_unknown_suite_is_usage_error():

@@ -15,9 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from circlecorr import numutil, paircorr
 from circlecorr.numutil import circle_dist_raw
 from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
-                                 min_pair_distance, pair_count_fast,
-                                 pair_count_naive, per_point_counts,
-                                 rotation_count, sorted_raw)
+                                 pair_count_fast, pair_count_naive,
+                                 per_point_counts, rotation_count, sorted_raw)
 from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate,
                                   iid_uniform, kronecker_orbit)
 
@@ -188,15 +187,6 @@ def test_precision_128_paths_agree():
     batch = generate(SequenceSpec("kronecker", precision=128), 200)
     t = (1 << 128) // 1000
     assert pair_count_fast(batch, t) == pair_count_naive(batch, t)
-
-
-def test_min_pair_distance_examples():
-    batch = generate(SequenceSpec("vdc", base=2), 8)
-    assert Fraction(min_pair_distance(batch), batch.modulus) == Fraction(1, 8)
-    dup = FixedBatch(64, np.array([5, 5], dtype=np.uint64))
-    assert min_pair_distance(dup) == 0
-    wrap = FixedBatch(64, np.array([1, M64 - 3], dtype=np.uint64))
-    assert min_pair_distance(wrap) == 4
 
 
 def test_per_point_counts_sum_to_total():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlecorr.cf import ContinuedFraction, fibonacci
-from circlecorr.sequences import FixedBatch, kronecker_orbit
+from circlecorr.numutil import circle_dist_raw
+from circlecorr.sequences import FixedBatch, SequenceSpec, generate, kronecker_orbit
 from circlecorr.threegap import (expected_large_gaps, gap_census, gap_classes,
                                  gap_decomposition, lemma9_bounds_check,
                                  predict_gaps)
@@ -13,11 +14,15 @@ from circlecorr.threegap import (expected_large_gaps, gap_census, gap_classes,
 M64 = 1 << 64
 
 
+def total_length(census):
+    return sum(length * mult for length, mult in census.entries)
+
+
 def test_census_equispaced():
     pts = FixedBatch(64, np.arange(8, dtype=np.uint64) * np.uint64(M64 // 8))
     census = gap_census(pts)
     assert census.entries == [(M64 // 8, 8)]
-    assert census.total_length() == M64
+    assert total_length(census) == M64
 
 
 def test_census_duplicates_flagged():
@@ -33,7 +38,22 @@ def test_census_golden_five_points():
     census = gap_census(kronecker_orbit("golden", 5))
     assert len(census.entries) == 2
     assert [m for _, m in census.entries] == [2, 3]
-    assert census.total_length() == M64
+    assert total_length(census) == M64
+
+
+def test_smallest_census_length_is_the_min_pair_distance():
+    batch = generate(SequenceSpec("vdc", base=2), 8)
+    assert Fraction(gap_census(batch).lengths[0], batch.modulus) == Fraction(1, 8)
+    dup = FixedBatch(64, np.array([5, 5], dtype=np.uint64))
+    assert gap_census(dup).lengths[0] == 0
+    wrap = FixedBatch(64, np.array([1, M64 - 3], dtype=np.uint64))
+    assert gap_census(wrap).lengths[0] == 4
+
+
+@given(st.lists(st.integers(min_value=0, max_value=M64 - 1), min_size=2, max_size=40))
+def test_smallest_census_length_matches_all_pairs(vals):
+    pairs = min(circle_dist_raw(x, y, M64) for i, x in enumerate(vals) for y in vals[:i])
+    assert gap_census(FixedBatch(64, vals)).lengths[0] == pairs
 
 
 def _census_by_loop(points):
@@ -53,7 +73,7 @@ def test_census_matches_loop_reference(precision):
         census = gap_census(batch)
         assert census.entries == _census_by_loop(batch)
         assert all(type(g) is int and type(c) is int for g, c in census.entries)
-        assert census.total_length() == m
+        assert total_length(census) == m
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6))
