@@ -2,10 +2,11 @@
 
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
-batch's sorted values, except rotation batches that carry their step, which
-f_stat counts from the step alone by a weighted floor sum.  On the 2^128
-grid the kernel searches uint64 limbs: the high limb places each window
-end, and the low limb settles it only inside a run of equal high limbs.
+batch's sorted values, driven by one block loop (_blocks), except rotation
+batches that carry their step, which f_stat counts from the step alone by
+a weighted floor sum.  On the 2^128 grid the kernel searches uint64 limbs:
+the high limb places each window end, and the low limb settles it only
+inside a run of equal high limbs.
 f_stat counts any other fixed-point cell in one kernel pass and finds the
 guard band from the points next to each window end.
 The naive path tests every pair, in strips of cyclic offsets, as an
@@ -177,22 +178,11 @@ def _window(a: tuple, queries: tuple, t: int, modulus: int) -> tuple:
     return counts, left, right
 
 
-def _counts(a: tuple, queries: tuple, t: int, modulus: int) -> np.ndarray:
-    """_window's counts for every query key, in blocks that bound the temporaries."""
-    counts = np.empty(len(queries[0]), dtype=np.int64)
-    for i in range(0, len(counts), _BLOCK):
-        counts[i:i + _BLOCK] = _window(a, _take(queries, slice(i, i + _BLOCK)), t, modulus)[0]
-    return counts
-
-
-def window_counts(a_sorted: np.ndarray, queries: np.ndarray, t: int,
-                  modulus: int) -> np.ndarray:
-    """For each query x, the number of values of a_sorted within circle distance t.
-
-    A query that is itself a point of a_sorted counts itself.  On the 2^128
-    grid the sorted Python ints are searched as uint64 limbs.
-    """
-    return _counts(_keys(a_sorted, modulus), _keys(queries, modulus), t, modulus)
+def _blocks(a: tuple, t: int, modulus: int):
+    """_window's (queries, counts, left, right) for each _BLOCK slice of a, queried against a."""
+    for i in range(0, len(a[0]), _BLOCK):
+        queries = _take(a, slice(i, i + _BLOCK))
+        yield (queries, *_window(a, queries, t, modulus))
 
 
 def _minus(y: tuple, x: tuple) -> tuple:
@@ -229,9 +219,7 @@ def _guarded_counts(a: tuple, t: int, g: int, modulus: int) -> tuple:
     n = len(a[0])
     top, low = min(t + g, modulus // 2), t - g - 1
     count = ambiguous = 0
-    for i in range(0, n, _BLOCK):
-        queries = _take(a, slice(i, i + _BLOCK))
-        counts, left, right = _window(a, queries, t, modulus)
+    for queries, counts, left, right in _blocks(a, t, modulus):
         count += int(counts.sum())
         if low >= 0 and left is not None:
             queries = _take(queries, _near_band(a, queries, left, right, t, g))
@@ -309,12 +297,16 @@ def pair_count_fast(points, threshold_raw: int, modulus: Optional[int] = None,
     else:
         batch = points if modulus is None else Batch(points, modulus)
         a, modulus = _sorted_keys(batch), batch.modulus
-    return int(_counts(a, a, threshold_raw, modulus).sum()) - len(a[0])
+    return sum(int(c.sum()) for _, c, _, _ in _blocks(a, threshold_raw, modulus)) - len(a[0])
 
 
 def per_point_counts(a_sorted: np.ndarray, threshold_raw: int, modulus: int) -> np.ndarray:
     """Neighbors within the threshold of each sorted point (its ordered count share)."""
-    return window_counts(a_sorted, a_sorted, threshold_raw, modulus) - 1
+    shares = np.empty(len(a_sorted), dtype=np.int64)
+    blocks = _blocks(_keys(a_sorted, modulus), threshold_raw, modulus)
+    for i, (_, counts, _, _) in enumerate(blocks):
+        shares[i * _BLOCK:(i + 1) * _BLOCK] = counts - 1  # each point counts itself
+    return shares
 
 
 # --- the F statistic -------------------------------------------------------
@@ -364,9 +356,8 @@ def f_stat(points, s, alpha, guard_ulps=DEFAULT_GUARD_ULPS) -> PairCountResult:
         raise ValueError("the guard band must be >= 0 ulps")
     s_f, alpha_f = _finite_fraction(s, "s"), _finite_fraction(alpha, "alpha")
     if isinstance(points, RationalBatch):
-        a, den = sorted_raw(points)
-        d_max = _exact_threshold_numerator(s_f, n, alpha_f, den)
-        count = pair_count_fast(a, min(d_max, den // 2), den, presorted=a)
+        d_max = _exact_threshold_numerator(s_f, n, alpha_f, points.modulus)
+        count = pair_count_fast(points, min(d_max, points.modulus // 2))
         thr = threshold_from(s_f, n, alpha_f, precision=64)
         return PairCountResult(n, float(alpha), float(s), thr, count, 0)
     thr = threshold_from(s_f, n, alpha_f, precision=points.precision)
@@ -387,11 +378,13 @@ def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list,
                    guard_ulps=DEFAULT_GUARD_ULPS):
     """Evaluate f_stat on prefixes of one batch, cell by cell.
 
-    Results come back in (N, alpha, s) lexicographic order.
+    Results come back in (N, alpha, s) lexicographic order; every N is in [2, len(batch)].
     """
     n_list = list(n_list)
     if any(b > a for a, b in zip(n_list[1:], n_list)):
         raise ValueError("n_list must be ascending")
+    if n_list and not 2 <= n_list[0] <= n_list[-1] <= len(batch):
+        raise ValueError(f"N in {n_list} outside [2, {len(batch)}], the batch's size")
     results = []
     for n in n_list:
         prefix = batch.prefix(n)

@@ -5,6 +5,7 @@ and the one sorted-gap routine: its smallest length is the batch's minimal
 pair distance, which `verify lemma12` reads.  The prediction side derives
 the admissible gap lengths of {nz}, n = 1..N, from the Ostrowski digits
 of N.  The two paths stay independent so one can verify the other.
+The lemma 9 check counts from the rotation step and builds no orbit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Optional
 
 from . import _lazy_module, cf as cfmod
 from .numutil import DEFAULT_PRECISION, circle_dist_raw, threshold_from
-from .paircorr import sorted_raw, window_counts
-from .sequences import kronecker_orbit, resolve_z
+from .paircorr import rotation_count, sorted_raw
+from .sequences import golden_raw, resolve_z
 
 np = _lazy_module("numpy")
 
@@ -179,16 +180,17 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
                         precision: int = DEFAULT_PRECISION) -> Lemma9Check:
     """Count m != l with ||x_l - x_m|| <= s/N^alpha in the golden orbit x_n = {n phi}.
 
+    There are C(l - 1) + C(N - l), for C(k) = #{1 <= d <= k : ||d phi|| <= t}
+    = (R(k + 1) - R(k)) / 2 and R(n) = rotation_count of the first n points.
     The count is normalized by N^(1-alpha): the full statistic's N^(2-alpha)
     normalization includes the factor N of choices of l.
     """
     if not 1 <= l <= N:
         raise ValueError("need 1 <= l <= N")
-    orbit = kronecker_orbit("golden", N, precision=precision)
-    thr = threshold_from(s, N, alpha, precision=precision)
-    t = thr.distance.value
-    a, modulus = sorted_raw(orbit)
-    count = int(window_counts(a, orbit.raw[l - 1:l], t, modulus)[0]) - 1
+    step, modulus = golden_raw(precision), 1 << precision
+    t = threshold_from(s, N, alpha, precision=precision).distance.value
+    count = sum(rotation_count(step, k + 1, t, modulus) - rotation_count(step, k, t, modulus)
+                for k in (l - 1, N - l)) // 2
     normalized = count / N ** (1 - float(alpha))
     s_f = float(s)
     lower, upper = s_f / 2, 4 * s_f

@@ -257,6 +257,16 @@ def test_gen_binary_round_trip(tmp_path, capsys):
     assert count1 == count2
 
 
+@pytest.mark.parametrize("n_arg", [["--n", "-5"], ["--n=-5,100"], ["--n", "1"]])
+def test_fstat_points_refuses_n_outside_the_file(n_arg, tmp_path, capsys):
+    # raw[:n] once counted the first 295 of 300 points for --n -5, and exited 0
+    path = tmp_path / "p.csv"
+    run_cli(["gen", "--seq", "iid", "--n", "300", "--out", str(path)], capsys)
+    code, out, err = run_cli(["fstat", "--points", str(path), *n_arg,
+                              "--alpha", "0.5", "--s", "1"], capsys)
+    assert code == 2 and out == "" and "outside" in err
+
+
 def test_fstat_header_and_known_zero(capsys):
     code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", "987",
                             "--alpha", "1", "--s", "0.5"], capsys)

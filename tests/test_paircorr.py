@@ -140,7 +140,8 @@ def test_naive_oracle_stays_independent():
         code = codes.pop()
         names.update(code.co_names)
         codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
-    banned = ("sort", "argsort", "searchsorted", "_window", "_counts", "window_counts")
+    banned = ("sort", "argsort", "searchsorted", "_window", "_blocks", "_counts",
+              "window_counts")
     assert {name for name in names if any(word in name for word in banned)} == set()
     assert "count_nonzero" in names
 
@@ -201,6 +202,34 @@ def test_per_point_counts_sum_to_total():
     pp = per_point_counts(a, 10, modulus)
     assert list(pp) == [1, 1, 0]
     assert int(pp.sum()) == pair_count_naive(dup, 10)
+
+
+def brute_per_point(a, t, modulus):
+    """Neighbours of each point of a within t, by all pairs, 512 rows at a time."""
+    x = np.asarray(a, dtype=np.uint64)
+    out = []
+    for i in range(0, len(x), 512):
+        d = x[None, :] - x[i:i + 512, None]  # wraps mod 2^64
+        out.append(np.count_nonzero(np.minimum(d, np.uint64(0) - d) <= np.uint64(t), axis=1) - 1)
+    return np.concatenate(out)
+
+
+def test_per_point_counts_on_0_1_and_block_plus_1_points():
+    empty = per_point_counts(np.empty(0, dtype=np.uint64), M64 // 4, M64)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert list(per_point_counts(np.array([7], dtype=np.uint64), M64 // 4, M64)) == [0]
+    block = paircorr._BLOCK
+    n = block + 1
+    # the last point of the first block and the one point of the second
+    # repeat the point before them, so equal values straddle the block edge
+    a = np.sort(iid_uniform(n, seed=21).raw)
+    a[block - 1:] = a[block - 2]
+    t = M64 // n
+    pp = per_point_counts(a, t, M64)
+    assert pp.dtype == np.int64 and len(pp) == n
+    assert np.array_equal(pp, brute_per_point(a, t, M64))
+    batch = FixedBatch(64, a)
+    assert int(pp.sum()) == pair_count_fast(batch, t) == pair_count_naive(batch, t)
 
 
 # --- one kernel pass with the guard band from the window ends ---------------
@@ -306,7 +335,6 @@ def test_iid_p128_cells_never_search_python_ints():
     batch = iid_uniform(1000, seed=11, precision=128)
     tiny = Fraction(1, 2 ** 60)
     with mock.patch.object(paircorr, "_search", uint64_only), \
-            mock.patch.object(paircorr, "window_counts", side_effect=AssertionError), \
             mock.patch.object(Batch, "sorted", side_effect=AssertionError):
         cells = [(f_stat(batch, s, alpha), s, alpha)
                  for s, alpha in ((1, 0.5), (1, 1), (tiny, 1))]
@@ -374,6 +402,16 @@ def test_f_stat_profile_matches_single_cells():
         assert row.ordered_pair_count == single.ordered_pair_count
     with pytest.raises(ValueError):
         f_stat_profile(generate(spec, 256), [256, 64], [1], [1])
+
+
+@pytest.mark.parametrize("n_list", [[50, 1000], [101], [-5, 50], [1, 50], [0], [50, 100, 101]])
+def test_f_stat_profile_refuses_n_outside_the_batch(n_list):
+    # raw[:n] would silently count 95 points for N = -5, or 100 for N = 1000
+    batch = iid_uniform(100, seed=2)
+    with mock.patch.object(paircorr, "f_stat", side_effect=AssertionError("counted")), \
+            pytest.raises(ValueError, match="outside"):
+        f_stat_profile(batch, n_list, [1], [1])
+    assert [r.n for r in f_stat_profile(batch, [2, 100], [1], [1])] == [2, 100]
 
 
 def assert_rescaling_identity(batch, s, a1, a2):

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlecorr.cf import ContinuedFraction, fibonacci
-from circlecorr.numutil import circle_dist_raw
-from circlecorr.sequences import FixedBatch, SequenceSpec, generate, kronecker_orbit
+from circlecorr.numutil import circle_dist_raw, threshold_from
+from circlecorr.sequences import (FixedBatch, RotationBatch, SequenceSpec, generate,
+                                  kronecker_orbit)
 from circlecorr.threegap import (expected_large_gaps, gap_census, gap_classes,
                                  gap_decomposition, lemma9_bounds_check,
                                  predict_gaps)
@@ -138,3 +141,35 @@ def test_lemma9_check_bounds():
     assert 0.5 < chk.normalized < 4
     with pytest.raises(ValueError):
         lemma9_bounds_check(0, 10, 1, Fraction(1, 2))
+
+
+def lemma9_cases():
+    rng = random.Random(9)
+    for precision in (64, 128):
+        for n in (2, 3, 144, 377):
+            # s/N^alpha of 1/2 and above is degenerate: every other point counts
+            for s, alpha in ((Fraction(1), Fraction(1, 2)), (Fraction(3, 7), Fraction(9, 10)),
+                             (Fraction(1, 2), Fraction(0)), (Fraction(5), Fraction(1, 4))):
+                for l in sorted({1, n, rng.randint(1, n)}):
+                    yield precision, n, l, s, alpha
+
+
+@pytest.mark.parametrize("precision, n, l, s, alpha", list(lemma9_cases()))
+def test_lemma9_count_matches_all_pairs(precision, n, l, s, alpha):
+    raw = [int(x) for x in kronecker_orbit("golden", n, precision=precision).raw]
+    thr = threshold_from(s, n, alpha, precision=precision)
+    t, modulus = thr.distance.value, 1 << precision
+    expect = sum(circle_dist_raw(raw[l - 1], raw[m], modulus) <= t
+                 for m in range(n) if m != l - 1)
+    chk = lemma9_bounds_check(l, n, s, alpha, precision=precision)
+    assert chk.count == expect
+    assert not thr.degenerate or expect == n - 1
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_lemma9_builds_no_orbit(precision):
+    with mock.patch.object(RotationBatch, "_build", side_effect=AssertionError("built")):
+        for l in (1, 5000, fibonacci(25)):
+            chk = lemma9_bounds_check(l, fibonacci(25), Fraction(1), Fraction(1, 2),
+                                      precision=precision)
+            assert chk.passed

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 from circlecorr import verify
@@ -46,3 +47,17 @@ def test_thm7_certifies_the_zero_counts_for_the_true_golden_z():
         report = verify.suite_thm7()
     assert [c.passed for c in report.checks if CERTIFICATE in c.description] == [False]
     assert all(c.passed for c in report.checks if CERTIFICATE not in c.description)
+
+
+def test_performance_check_holds_at_most_48_bytes_per_point():
+    # criterion 12's suite at N = 10^6: the sorted points, their order, C(k)
+    # and the per-point counts are N long; everything else is built in blocks
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        report = verify.performance_check(n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak / n <= 48, f"{peak / n:.1f} bytes per point"
