@@ -2,17 +2,20 @@
 
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
-batch's sorted values, driven by one block loop (_blocks), except rotation
+batch's sorted values, in blocks of queries (_blocks), except rotation
 batches that carry their step, which f_stat counts from the step alone by
-a weighted floor sum.  On the 2^128 grid the kernel searches uint64 limbs:
-the high limb places each window end, and the low limb settles it only
-inside a run of equal high limbs.
+a weighted floor sum.  A total count makes one search per point, for the
+end of its forward window [x, x + t]; per-point counts search both ends.
+On the 2^128 grid the kernel searches uint64 limbs: the high limb places
+each window end, and the low limb settles it only inside a run of equal
+high limbs.
 f_stat counts any other fixed-point cell in one kernel pass and finds the
-guard band from the points next to each window end.
+guard band from the points next to each forward window end.
 The naive path tests every pair, in strips of cyclic offsets, as an
-independent oracle.  Thresholds come from numutil, decided exactly: floored
-against the denominator on rational batches, rounded to the nearest grid
-point on fixed-point batches.
+independent oracle: one wrapped subtraction per pair on the 2^64 grid.
+Thresholds come from numutil, decided exactly: floored against the
+denominator on rational batches, rounded to the nearest grid point on
+fixed-point batches.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ _FULL64 = 1 << 64
 _FULL128 = 1 << 128
 _MASK64 = _FULL64 - 1
 _BLOCK = 1 << 13  # queries per window-kernel step, which bounds its temporaries
-# distance cells per pair_count_naive strip: below N = 4096 each buffer stays
-# under glibc's 128 KB mmap threshold and comes from the heap, not from its own
-# mapping; glibc may still trim the freed heap top between calls, so a later
-# call can fault its buffers in again
-_STRIP_CELLS = 3 << 12
+# bytes per pair_count_naive strip buffer (3 x 2^12 uint64 cells): below
+# N = 4096 uint64 points (16384 uint16) each buffer stays under glibc's 128 KB
+# mmap threshold and comes from the heap, not from its own mapping; glibc may
+# still trim the freed heap top between calls, so a later call can fault its
+# buffers in again, and an unused buffer makes that likelier
+_STRIP_BYTES = 3 << 15
 
 
 # --- naive oracle ----------------------------------------------------------
@@ -45,20 +49,23 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     """O(N^2) ordered count of pairs with circle distance <= threshold.
 
     ``points`` is a batch or a plain sequence of raw integers in
-    [0, modulus) (then ``modulus`` is required).  One formula serves every
-    modulus: |x - y| = max(x, y) - min(x, y) never wraps, on uint64 up to
-    2^64 and on object arrays above, and a pair is close iff |x - y| <= t,
-    or t > 0 and |x - y| >= modulus - t.
+    [0, modulus) (then ``modulus`` is required).  On the 2^64 grid a pair
+    is close iff (x + t - y) mod 2^64 <= 2t: one uint64 subtraction
+    against x + t, which wraps on its own.  Every other modulus keeps one
+    formula in the narrowest unsigned dtype that holds it (object arrays
+    above 2^64): |x - y| = max(x, y) - min(x, y) never wraps, and a pair is
+    close iff |x - y| <= t, or t > 0 and |x - y| >= modulus - t.
 
     Pairs are enumerated by cyclic offset: with S_k the number of i with
     a[i] close to a[(i + k) mod N], and S_k = S_(N-k), the ordered count is
     2 (S_1 + ... + S_h) for h = N // 2, less S_h when N is even.  A strip of
     offsets lies in rows of N + 1 cells: a ++ [a[0]] tiled once per row
-    against a contiguous slice of a tiled, so no operand is broadcast; the
-    extra column repeats column 0 and is subtracted.  Buffers of about
-    _STRIP_CELLS cells are allocated once per call, so memory stays O(N)
-    beyond N = _STRIP_CELLS.  Kept deliberately independent of the window
-    kernel: no sort and no search.
+    against a contiguous slice of a tiled, so no operand is broadcast.  The
+    extra column repeats column 0, pairing a[0] with a[k] at offset k, so
+    it is subtracted once per call.  Buffers of about _STRIP_BYTES bytes
+    are allocated once per call, so memory stays O(N) beyond one offset
+    per strip.  Kept deliberately independent of the window kernel: no
+    sort and no search.
     """
     if modulus is None:
         raw, modulus = points.raw, points.modulus
@@ -70,27 +77,38 @@ def pair_count_naive(points, threshold_raw: int, modulus: Optional[int] = None) 
     t = threshold_raw
     if 2 * t >= modulus:
         return n * (n - 1)
-    a = np.asarray(raw, dtype=object if modulus > _FULL64 else np.uint64)
+    wrapped = modulus == _FULL64
+    a = np.asarray(raw, dtype=np.uint64 if wrapped else np.min_scalar_type(modulus))
     half, width = n // 2, n + 1
-    rows = max(1, min(half, _STRIP_CELLS // width))
+    rows = max(1, min(half, _STRIP_BYTES // (width * a.itemsize)))
     x = np.tile(np.concatenate([a, a[:1]]), rows)
     # row r of the strip at offset k is shifted[k + r (N + 1):][:N] = a rotated
     # by k + r; k + rows <= N, so rows + 1 copies hold every slice
     shifted = np.tile(a, rows + 1)
-    dist, low = np.empty_like(x), np.empty_like(x)
-    close, far = np.empty(len(x), bool), np.empty(len(x), bool)
-    total = 0
+    dist, near = np.empty_like(x), np.empty(len(x), bool)
+    if wrapped:
+        x += np.uint64(t)
+    else:  # only the |x - y| formula needs a second pair of buffers
+        low, far = np.empty_like(x), np.empty(len(x), bool)
+
+    def close(x, y) -> int:
+        """The number of cells where x and y are close; on the 2^64 grid x holds x + t."""
+        d, c = dist[:len(y)], near[:len(y)]
+        if wrapped:
+            return int(np.count_nonzero(np.less_equal(np.subtract(x, y, out=d), 2 * t, out=c)))
+        np.maximum(x, y, out=d)
+        d -= np.minimum(x, y, out=low[:len(y)])
+        np.less_equal(d, t, out=c)
+        if t:  # modulus - t fits the dtype once t >= 1
+            c |= np.greater_equal(d, modulus - t, out=far[:len(y)])
+        return int(np.count_nonzero(c))
+
+    total = -close(x[n], a[1:half + 1])  # the extra column, once per call
     for k in range(1, half + 1, rows):
         cells = min(rows, half + 1 - k) * width
-        y, d, c = shifted[k:k + cells], dist[:cells], close[:cells]
-        np.maximum(x[:cells], y, out=d)
-        d -= np.minimum(x[:cells], y, out=low[:cells])
-        np.less_equal(d, t, out=c)
-        if t:  # modulus - t fits in uint64 once t >= 1
-            c |= np.greater_equal(d, modulus - t, out=far[:cells])
-        total += np.count_nonzero(c) - np.count_nonzero(c[n::width])
-    if n % 2 == 0:  # the last row, offset N/2, is its own mirror
-        return 2 * total - np.count_nonzero(c[cells - width:cells - 1])
+        total += close(x[:cells], shifted[k:k + cells])
+    if n % 2 == 0:  # the offset N/2 is its own mirror
+        return 2 * total - close(x[:n], shifted[half:half + n])
     return 2 * total
 
 
@@ -160,29 +178,59 @@ def _search(a: tuple, key: tuple, side: str) -> np.ndarray:
     return pos
 
 
-def _window(a: tuple, queries: tuple, t: int, modulus: int) -> tuple:
-    """(counts, left, right): the points of a within circle distance t of each query.
+def _window(a: tuple, queries: tuple, t: int, modulus: int) -> np.ndarray:
+    """The number of points of a within circle distance t of each query.
 
     The window [x - t, x + t] of a query x holds the sorted points left ..
     right - 1, read cyclically: it runs past the end of a when it wraps past
     0 or the modulus.  A query that is itself a point of a counts itself.
-    left and right are None when 2t >= modulus and every point counts.
+    Two searches per query, one per window end.
     """
     n = len(a[0])
     if n == 0 or 2 * t >= modulus:
-        return np.full(len(queries[0]), n, dtype=np.int64), None, None
-    left = _search(a, _shift(queries, -t, modulus), "left")
-    right = _search(a, _shift(queries, t, modulus), "right")
-    counts = right - left
+        return np.full(len(queries[0]), n, dtype=np.int64)
+    counts = _search(a, _shift(queries, t, modulus), "right")
+    counts -= _search(a, _shift(queries, -t, modulus), "left")
     counts[_below(queries, t) | ~_below(queries, modulus - t)] += n
-    return counts, left, right
+    return counts
 
 
-def _blocks(a: tuple, t: int, modulus: int):
-    """_window's (queries, counts, left, right) for each _BLOCK slice of a, queried against a."""
+def _blocks(a: tuple):
+    """Each _BLOCK slice of the sorted keys a, to be queried against all of a."""
     for i in range(0, len(a[0]), _BLOCK):
-        queries = _take(a, slice(i, i + _BLOCK))
-        yield (queries, *_window(a, queries, t, modulus))
+        yield _take(a, slice(i, i + _BLOCK))
+
+
+def _reach(a: tuple, queries: tuple, t: int, modulus: int) -> tuple:
+    """(ends, total) of the forward windows [x, x + t] of the queries, for 2t < modulus.
+
+    A query's window holds the sorted points up to index end - 1, read
+    cyclically; total sums the ends, with N added for each window that wraps
+    past the modulus, so that it sums R_i of _ordered_count.  One search
+    per query.
+    """
+    ends = _search(a, _shift(queries, t, modulus), "right")
+    wraps = int(np.count_nonzero(~_below(queries, modulus - t)))
+    return ends, int(ends.sum()) + len(a[0]) * wraps
+
+
+def _ordered_count(a: tuple, t: int, modulus: int) -> int:
+    """Ordered count of pairs within circle distance t among the N sorted keys a.
+
+    Let R_i be point i's forward window end, so that, read cyclically, the
+    points i + 1 .. R_i - 1 lie within forward distance t past point i.  With
+    2t < modulus a close pair of distinct points lies within forward
+    distance t in one direction only, and of two equal points only the later
+    lies past the earlier, so each close unordered pair is counted once and
+    the ordered count is 2 sum (R_i - i - 1) = 2 sum R_i - N (N + 1): runs
+    of equal keys need no term of their own.
+    """
+    n = len(a[0])
+    if t < 0:
+        return 0
+    if 2 * t >= modulus:
+        return n * (n - 1)
+    return 2 * sum(_reach(a, queries, t, modulus)[1] for queries in _blocks(a)) - n * (n + 1)
 
 
 def _minus(y: tuple, x: tuple) -> tuple:
@@ -192,42 +240,42 @@ def _minus(y: tuple, x: tuple) -> tuple:
     return y[0] - x[0] - (y[1] < x[1]), y[1] - x[1]
 
 
-def _near_band(a: tuple, queries: tuple, left, right, t: int, g: int) -> np.ndarray:
-    """Queries with a point at circle distance within [t - g, t + g], for t > g.
+def _near_band(a: tuple, queries: tuple, ends, t: int, g: int) -> np.ndarray:
+    """Queries with a point at forward distance within [t - g, t + g], for t > g.
 
-    Distance grows monotonically from a query to each end of its window at
-    t, so the points just inside and just outside both ends tell.  For the
-    2^64 and 2^128 grids.
+    Forward distance grows from a query to the end of its window at t (past
+    the query's own run of equal keys, which lie at distance 0), so the
+    points just inside and just outside that end tell.  For the 2^64 and
+    2^128 grids.
     """
     n = len(a[0])
-    inside, outside = _take(a, (right - 1) % n), _take(a, right % n)
-    near = ~_below(_minus(inside, queries), t - g) | _below(_minus(outside, queries), t + g + 1)
-    inside, outside = _take(a, left % n), _take(a, (left - 1) % n)
-    near |= ~_below(_minus(queries, inside), t - g) | _below(_minus(queries, outside), t + g + 1)
-    return near
+    inside, outside = _take(a, (ends - 1) % n), _take(a, ends % n)
+    return ~_below(_minus(inside, queries), t - g) | _below(_minus(outside, queries), t + g + 1)
 
 
 def _guarded_counts(a: tuple, t: int, g: int, modulus: int) -> tuple:
     """(ordered count at t, ambiguous pairs) of the sorted keys a of a fixed-point batch.
 
     Ambiguous pairs lie within +-g of t: the ordered count at
-    min(t + g, modulus // 2) less that at t - g - 1.  One kernel pass at t
-    counts every query; only the queries _near_band finds are recounted at
-    the two band ends.  With t <= g, or a window over the whole circle,
-    every query is.
+    top = min(t + g, modulus // 2) less that at low = t - g - 1.  Both are
+    2 sum (R_i - i - 1) (see _ordered_count), so the band is
+    2 sum (R_i(top) - R_i(low)), which only the queries _near_band finds
+    add to.  One pass at t counts every query and finds them.  With t <= g,
+    or 2 top >= modulus, a band end is no forward window: each end is
+    counted over every point.
     """
-    n = len(a[0])
     top, low = min(t + g, modulus // 2), t - g - 1
-    count = ambiguous = 0
-    for queries, counts, left, right in _blocks(a, t, modulus):
-        count += int(counts.sum())
-        if low >= 0 and left is not None:
-            queries = _take(queries, _near_band(a, queries, left, right, t, g))
-        ambiguous += int(_window(a, queries, top, modulus)[0].sum())
-        # with t <= g the band reaches distance 0: only each query's self-count is below it
-        ambiguous -= int(_window(a, queries, low, modulus)[0].sum()) if low >= 0 \
-            else len(queries[0])
-    return count - n, ambiguous
+    if low < 0 or 2 * top >= modulus:
+        return (_ordered_count(a, t, modulus),
+                _ordered_count(a, top, modulus) - _ordered_count(a, low, modulus))
+    n = len(a[0])
+    count = band = 0
+    for queries in _blocks(a):
+        ends, total = _reach(a, queries, t, modulus)
+        count += total
+        near = _take(queries, _near_band(a, queries, ends, t, g))
+        band += _reach(a, near, top, modulus)[1] - _reach(a, near, low, modulus)[1]
+    return 2 * count - n * (n + 1), 2 * band
 
 
 def _floor_sums(a: int, b: int, c: int, n: int) -> tuple:
@@ -297,15 +345,16 @@ def pair_count_fast(points, threshold_raw: int, modulus: Optional[int] = None,
     else:
         batch = points if modulus is None else Batch(points, modulus)
         a, modulus = _sorted_keys(batch), batch.modulus
-    return sum(int(c.sum()) for _, c, _, _ in _blocks(a, threshold_raw, modulus)) - len(a[0])
+    return _ordered_count(a, threshold_raw, modulus)
 
 
 def per_point_counts(a_sorted: np.ndarray, threshold_raw: int, modulus: int) -> np.ndarray:
     """Neighbors within the threshold of each sorted point (its ordered count share)."""
     shares = np.empty(len(a_sorted), dtype=np.int64)
-    blocks = _blocks(_keys(a_sorted, modulus), threshold_raw, modulus)
-    for i, (_, counts, _, _) in enumerate(blocks):
-        shares[i * _BLOCK:(i + 1) * _BLOCK] = counts - 1  # each point counts itself
+    a = _keys(a_sorted, modulus)
+    for i, queries in enumerate(_blocks(a)):
+        # each point counts itself
+        shares[i * _BLOCK:(i + 1) * _BLOCK] = _window(a, queries, threshold_raw, modulus) - 1
     return shares
 
 

@@ -165,8 +165,10 @@ class Batch:
 
     def prefix(self, n: int):
         """The first n points, as a batch of the same kind; slices only what is built."""
+        if not 0 <= n <= self._n:
+            raise ValueError(f"a prefix of {n} points is outside [0, {self._n}], the batch's size")
         head = copy.copy(self)
-        head._n = len(range(self._n)[:n])  # as many points as raw[:n] holds
+        head._n = n
         head._sorted = head._limbs = None
         if self._raw is not None:
             head._raw = self._raw[:n]

@@ -53,8 +53,11 @@ def gap_census(points) -> GapCensus:
     # Python int would promote the array to float64
     wrap = np.array([(int(a[0]) - int(a[-1])) % modulus], dtype=a.dtype)
     gaps = np.concatenate([np.diff(a), wrap])
-    lengths, mults = np.unique(gaps, return_counts=True)
-    entries = [(int(g), int(c)) for g, c in zip(lengths, mults)]
+    ranked = np.sort(gaps)
+    # each distinct length starts where the sorted gaps change
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    mults = np.diff(np.append(starts, len(ranked)))
+    entries = [(int(g), int(c)) for g, c in zip(ranked[starts], mults)]
     return GapCensus(entries, gaps, has_duplicates=entries[0][0] == 0)
 
 

@@ -73,20 +73,9 @@ def _timed(fn):
 # --- oracle: fast counting path against the naive matrix --------------------
 
 
-@_timed
-def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
-    """pair_count_fast == pair_count_naive on randomized mixed batches.
-
-    Every kronecker trial must also carry its step, and the floor sum
-    rotation_count from that step must equal the naive count; at 10^6
-    points, out of the naive count's reach, the floor sum must equal the
-    window kernel on rotation orbits.
-    """
-    rng = random.Random(seed)
-    report = VerificationReport("oracle")
-    mismatches = []
-    rotation_mismatches = []
-    for trial in range(trials):
+def _oracle_trials(rng, trials: int, max_n: int):
+    """(kind, N, batch, t) of suite_oracle's random trials, drawn from rng."""
+    for _ in range(trials):
         kind = rng.choice(["iid", "vdc", "kronecker", "duplicates"])
         n = rng.randint(2, max_n)
         if kind == "vdc":
@@ -101,7 +90,31 @@ def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
             batch = FixedBatch(64, raw)
         else:
             batch = iid_uniform(n, rng.getrandbits(32))
-        t = rng.randint(0, batch.modulus // 2)
+        yield kind, n, batch, rng.randint(0, batch.modulus // 2)
+
+
+def _oracle_orbits(rng):
+    """(z, alpha, orbit, t) of suite_oracle's 10^6-point rotation cells: golden and a random z."""
+    for z in ("golden", rng.getrandbits(64)):
+        orbit = kronecker_orbit(z, 10 ** 6)
+        for alpha in (0.5, 0.9):
+            yield z, alpha, orbit, threshold_from(1, 10 ** 6, alpha).distance.value
+
+
+@_timed
+def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
+    """pair_count_fast == pair_count_naive on randomized mixed batches.
+
+    Every kronecker trial must also carry its step, and the floor sum
+    rotation_count from that step must equal the naive count; at 10^6
+    points, out of the naive count's reach, the floor sum must equal the
+    window kernel on rotation orbits.
+    """
+    rng = random.Random(seed)
+    report = VerificationReport("oracle")
+    mismatches = []
+    rotation_mismatches = []
+    for kind, n, batch, t in _oracle_trials(rng, trials, max_n):
         naive = pair_count_naive(batch, t)
         if pair_count_fast(batch, t) != naive:
             mismatches.append((kind, n, t))
@@ -117,13 +130,9 @@ def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
     # at production N the naive matrix is out of reach: the window kernel
     # and the floor sum check each other
     big_mismatches = []
-    for z in ("golden", rng.getrandbits(64)):
-        orbit = kronecker_orbit(z, 10 ** 6)
-        for alpha in (0.5, 0.9):
-            t = threshold_from(1, 10 ** 6, alpha).distance.value
-            if pair_count_fast(orbit, t) != rotation_count(orbit.step, 10 ** 6, t,
-                                                           orbit.modulus):
-                big_mismatches.append((z, alpha))
+    for z, alpha, orbit, t in _oracle_orbits(rng):
+        if pair_count_fast(orbit, t) != rotation_count(orbit.step, 10 ** 6, t, orbit.modulus):
+            big_mismatches.append((z, alpha))
     report.add("window kernel == floor sum at N=10^6, golden and random z, "
                "alpha in {0.5, 0.9}, s=1", "0 mismatches",
                f"{len(big_mismatches)} mismatches", "exact", not big_mismatches)
@@ -380,16 +389,12 @@ def _census_matches_prediction(orbit, prediction, slack: int = 1):
 
 
 def _random_rotation(rng, n_cap: int):
-    """A rotation number from random partial quotients a_i <= 5."""
-    quotients = [0]
-    cf = None
-    while True:
+    """[0; a_1, ..., a_k] with random a_i <= 5, for the first k >= 2 with q_k > 10 n_cap."""
+    quotients, q_prev, q = [0], 0, 1  # q_(-1), q_0
+    while len(quotients) < 3 or q <= 10 * n_cap:
         quotients.append(rng.randint(1, 5))
-        if len(quotients) >= 3:
-            cf = cfmod.ContinuedFraction(quotients)
-            if cf.q[-1] > 10 * n_cap:
-                break
-    return cf
+        q_prev, q = q, quotients[-1] * q + q_prev
+    return cfmod.ContinuedFraction(quotients)
 
 
 @_timed

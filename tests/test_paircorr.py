@@ -76,9 +76,15 @@ def strip_cases(draw):
     return vals, t, modulus, draw(st.integers(1, 4))
 
 
+def naive_itemsize(modulus):
+    """Bytes per cell of pair_count_naive: uint64 on the 2^64 grid, else the narrowest dtype."""
+    return np.dtype(np.uint64 if modulus == M64 else np.min_scalar_type(modulus)).itemsize
+
+
 def naive_with_strips(vals, t, modulus, offsets):
-    """pair_count_naive with strips of the given number of offsets (rows of N + 1)."""
-    with mock.patch.object(paircorr, "_STRIP_CELLS", offsets * (len(vals) + 1)):
+    """pair_count_naive with strips of the given number of offsets (rows of N + 1 cells)."""
+    strip = offsets * (len(vals) + 1) * naive_itemsize(modulus)
+    with mock.patch.object(paircorr, "_STRIP_BYTES", strip):
         return pair_count_naive(vals, t, modulus=modulus)
 
 
@@ -90,7 +96,7 @@ def test_naive_strip_boundaries(case):
 
 def test_naive_strips_at_the_real_size():
     # full strips of offsets, then a last strip of one offset, at an even and an odd N
-    cells = paircorr._STRIP_CELLS
+    cells = paircorr._STRIP_BYTES // 8
     for parity in (0, 1):
         n = next(n for n in itertools.count(2 + parity, 2)
                  if n // 2 // (cells // (n + 1)) >= 3 and n // 2 % (cells // (n + 1)) == 1)
@@ -155,6 +161,23 @@ def test_naive_memory_is_bounded_by_the_strips():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20  # one N x N uint64 matrix is 128 MB
+
+
+@pytest.mark.parametrize("modulus", [2, 255, 256, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1,
+                                     2 ** 63, M64])
+def test_naive_at_the_dtype_edges(modulus):
+    # the ends of the narrowest dtype that holds the modulus (uint8 up to 256,
+    # then uint16, uint32, uint64), and of the wrapped subtraction at 2^64:
+    # values 0, 1, M - 1 and 2^63, repeated, at thresholds on both sides of M/2
+    vals = sorted({v for v in (0, 1, modulus - 1, 2 ** 63) if v < modulus})
+    vals += vals[::-1] + vals[:1]
+    for t in sorted({0, 1, modulus // 2 - 1, modulus // 2}):
+        for n in range(2, len(vals) + 1):
+            ref = reference_count(vals[:n], t, modulus)
+            assert pair_count_naive(vals[:n], t, modulus=modulus) == ref
+            assert pair_count_fast(vals[:n], t, modulus=modulus) == ref
+            for offsets in (1, 2):
+                assert naive_with_strips(vals[:n], t, modulus, offsets) == ref
 
 
 @given(raw_lists, st.integers(min_value=0, max_value=M64 // 2 - 1))
@@ -321,6 +344,95 @@ def test_guarded_counts_across_blocks():
             for g in (0, 4, 1 << 64, 1 << 70):
                 assert_guarded_counts(vals, t, g, 1 << 128)
                 assert_guarded_counts([v >> 64 for v in vals], t >> 64, g >> 64, M64)
+
+
+def edge_values(precision):
+    """Runs of equal points at 0, next to 2^63 and at M - 1.
+
+    At P = 128 the high limbs 0, 2^63 and 2^64 - 1 each carry several low limbs.
+    """
+    if precision == 64:
+        return [0, 0, 0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63, 2 ** 63, 2 ** 63 + 1,
+                M64 - 2, M64 - 1, M64 - 1, M64 - 1]
+    return [h << 64 | low for h in (0, 2 ** 63, M64 - 1)
+            for low in (0, 0, 1, 2 ** 63, M64 - 1, M64 - 1)]
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+@pytest.mark.parametrize("block", [2, 3, 4, 8192])
+def test_kernel_ties_across_blocks_and_wraps(precision, block):
+    # block edges of 2 to 4 queries fall inside the runs; windows wrap past 0
+    # and past M - 1; at P = 128 thresholds step across multiples of 2^64
+    vals, modulus = edge_values(precision), 1 << precision
+    thresholds = {0, 1, 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, M64 - 2, M64 - 1, modulus // 4,
+                  modulus // 2 - 1, modulus // 2}
+    if precision == 128:
+        thresholds |= {k * M64 + j for k in (1, 2 ** 63, 2 ** 63 + 1) for j in (-1, 0, 1)}
+    with mock.patch.object(paircorr, "_BLOCK", block):
+        for t in sorted(t for t in thresholds if t <= modulus // 2):
+            expect = reference_count(vals, t, modulus)
+            assert pair_count_fast(vals, t, modulus=modulus) == expect
+            assert int(per_point_counts(Batch(vals, modulus).sorted(), t, modulus).sum()) == expect
+            for g in (0, 1, 2 ** 63):
+                assert_guarded_counts(vals, t, g, modulus)
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_guarded_counts_where_a_band_end_leaves_the_kernel(precision):
+    # t <= g (the band reaches distance 0) and 2(t + g) >= M (it reaches the
+    # half circle): each end is counted over every point; repeated points, and
+    # pairs exactly half a circle apart
+    modulus = 1 << precision
+    vals = [int(v) for v in iid_uniform(30, seed=6, precision=precision).raw]
+    vals += vals[:4] + [v ^ modulus // 2 for v in vals[:3]]
+    dists = sorted({circle_dist_raw(x, y, modulus) for x in vals for y in vals})
+    for t, g in [(0, 0), (1, 4), (dists[5], dists[5]), (dists[5], dists[9]),
+                 (modulus // 2, 0), (modulus // 2 - 1, 1), (modulus // 4, modulus // 4),
+                 (dists[-1], modulus // 2 - dists[-1]), (modulus // 3, modulus // 4)]:
+        assert 2 * (t + g) >= modulus or t <= g
+        assert_guarded_counts(vals, t, g, modulus)
+
+
+def searched_keys(fn, *args):
+    """(fn(*args), the number of keys _search looked up)."""
+    real, keys = paircorr._search, []
+
+    def counting(a, key, side):
+        keys.append(len(key[0]))
+        return real(a, key, side)
+
+    with mock.patch.object(paircorr, "_search", counting):
+        return fn(*args), sum(keys)
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_one_search_per_point(precision):
+    # pair_count_fast searches each point once; f_stat's fixed-point path
+    # searches each point once and twice more only the few next to the band
+    n = 20000
+    batch = iid_uniform(n, seed=13, precision=precision)
+    t = f_stat(batch, 1, 0.5).threshold.distance.value
+    count, keys = searched_keys(pair_count_fast, batch, t)
+    assert keys == n
+    result, keys = searched_keys(f_stat, batch, 1, 0.5)
+    assert result.ordered_pair_count == count and n <= keys < n + 100
+
+
+def test_kernel_memory_stays_in_blocks():
+    # presorted 10^6-point batches: the count holds block-sized temporaries only
+    n = 10 ** 6
+    golden, iid = kronecker_orbit("golden", n), iid_uniform(n, seed=14)
+    golden.sorted(), iid.sorted()
+    t = numutil.threshold_from(1, n, 0.5).distance.value
+    for call in (lambda: pair_count_fast(golden, t), lambda: pair_count_fast(iid, t),
+                 lambda: f_stat(golden, 1, 0.5), lambda: f_stat(iid, 1, 0.5)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MB"
 
 
 def test_iid_p128_cells_never_search_python_ints():

@@ -122,7 +122,7 @@ def test_rotation_prefix_before_and_after_the_points_are_built(precision):
     lazy = orbit.prefix(30)
     assert orbit._raw is None and lazy._raw is None  # a prefix builds nothing
     assert (len(lazy), lazy.step, lazy.first) == (30, orbit.step, 1)
-    assert len(orbit.prefix(500)) == 100 and len(orbit.prefix(0)) == 0
+    assert len(orbit.prefix(100)) == 100 and len(orbit.prefix(0)) == 0
     full = list(orbit.raw)
     assert list(lazy.raw) == full[:30]
     orbit.split()
@@ -166,10 +166,19 @@ def test_prefix_before_and_after_raw_is_built(kind, built):
         batch.raw
     head = batch.prefix(30)
     assert (head._raw is None) is not built
-    assert len(head) == 30 and len(batch.prefix(500)) == 100 and len(batch.prefix(0)) == 0
+    assert len(head) == 30 and len(batch.prefix(100)) == 100 and len(batch.prefix(0)) == 0
     assert [int(v) for v in head.raw] == full[:30]
     assert [int(h) << 64 | int(l) for h, l in zip(*head.limbs())] == sorted(full[:30])
     assert len(batch) == 100 and [int(v) for v in batch.raw] == full
+
+
+@pytest.mark.parametrize("make", [lambda: iid_uniform(300, 1),
+                                  lambda: kronecker_orbit("golden", 300)])
+@pytest.mark.parametrize("n", [-5, -1, 301, 1000])
+def test_prefix_refuses_n_outside_the_batch(make, n):
+    # raw[:n] would hold 295 or 300 points: a prefix never changes N silently
+    with pytest.raises(ValueError):
+        make().prefix(n)
 
 
 def test_rotation_batch_inherits_raw_len_and_prefix():
@@ -227,6 +236,7 @@ def test_limbs_split_join_and_sort(vals, n):
     assert list(join_limbs(high, low)) == vals
     batch = Batch(vals, 1 << 128)
     given_limbs = FixedBatch.from_limbs(128, np.column_stack([low, high]))
+    n = min(n, len(vals))  # a prefix is at most the whole batch
     for b in (batch, batch.prefix(n), given_limbs, given_limbs.prefix(n)):
         head = vals[:len(b)]
         high, low = b.limbs()

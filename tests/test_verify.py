@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
+import random
 import tracemalloc
 from unittest import mock
 
 from circlecorr import verify
+from circlecorr.cf import ContinuedFraction
+from circlecorr.paircorr import pair_count_fast, pair_count_naive
 
 GRID = "closed form"
 
@@ -61,3 +65,36 @@ def test_performance_check_holds_at_most_48_bytes_per_point():
         tracemalloc.stop()
     assert report.passed
     assert peak / n <= 48, f"{peak / n:.1f} bytes per point"
+
+
+# sha256 of repr((the oracle suite's 500 (kind, N, t, count) tuples, its four
+# counts at N = 10^6)), recorded before the naive count went to one wrapped
+# subtraction per pair and the kernel to one search per point
+ORACLE_COUNTS = "e050c228fe1491b1ed61323b8483168f7a5ab63bc310122b58fd4aeaf490e267"
+
+
+def test_oracle_counts_match_their_pinned_digest():
+    # the suite compares two counts: a bug they share passes it, not this digest
+    rng = random.Random(20260823)  # suite_oracle's default seed
+    trials = list(verify._oracle_trials(rng, 500, 2000))
+    big = [pair_count_fast(orbit, t) for _, _, orbit, t in verify._oracle_orbits(rng)]
+    for count in (pair_count_naive, pair_count_fast):
+        tuples = [(kind, len(batch), t, int(count(batch, t))) for kind, _, batch, t in trials]
+        assert hashlib.sha256(repr((tuples, big)).encode()).hexdigest() == ORACLE_COUNTS
+
+
+def test_random_rotation_makes_the_draws_of_one_build_per_quotient():
+    # the reference builds a continued fraction after every quotient it draws
+    def reference(rng, n_cap):
+        quotients = [0]
+        while True:
+            quotients.append(rng.randint(1, 5))
+            if len(quotients) >= 3 and ContinuedFraction(quotients).q[-1] > 10 * n_cap:
+                return ContinuedFraction(quotients)
+
+    for seed in range(20):
+        for n_cap in (0, 1, 10 ** 5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            cf = verify._random_rotation(rng, n_cap)
+            assert cf.quotients == reference(ref_rng, n_cap).quotients
+            assert rng.random() == ref_rng.random()  # the same draws were made
