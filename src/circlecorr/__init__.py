@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "cf": "ContinuedFraction OstrowskiRep cf_expand fibonacci golden_cf golden_ostrowski "
           "lemma11_ratio lemma12_value ostrowski",
-    "numutil": "CircleDistance DEFAULT_GUARD_ULPS DEFAULT_PRECISION Threshold threshold_from",
+    "numutil": "CircleDistance DEFAULT_PRECISION Threshold threshold_from",
     "paircorr": "PairCountResult f_stat f_stat_profile pair_count_fast pair_count_naive",
     "sequences": "FixedBatch RationalBatch SequenceSpec generate iid_uniform kronecker_orbit",
     "threegap": "GapCensus GapPrediction gap_census gap_classes lemma9_bounds_check predict_gaps",

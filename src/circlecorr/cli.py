@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .numutil import DEFAULT_GUARD_ULPS, _decimal_fraction
+from .numutil import _decimal_fraction
 from .sequences import RationalBatch, SequenceSpec, generate, kronecker_orbit
 
 DEFAULT_MAX_POINTS = 1 << 27
@@ -65,8 +65,6 @@ def _nonnegative(text):
 
 _FLAGS = {  # shared flags: each subcommand registers, by _flags, only those it reads
     "--precision": dict(type=int, choices=(64, 128), default=64, help="grid bits (default 64)"),
-    "--guard-band": dict(type=_nonnegative, default=DEFAULT_GUARD_ULPS, metavar="G",
-                         help="ulps around the threshold tallied as ambiguous"),
     "--out": dict(metavar="PATH", help="output path (default stdout)"),
     "--format": dict(choices=("csv", "text"), default="csv", help="report format"),
     "--max-points": dict(type=_nonnegative, default=DEFAULT_MAX_POINTS, metavar="CAP",
@@ -175,12 +173,9 @@ def cmd_fstat(args):
         raise UsageError("need non-empty --n, --alpha and --s lists")
     _check_cap(n_list[-1], args.max_points)
     if args.points:
-        mode = "rb" if args.points_format == "binary" else "r"
-        with open(args.points, mode) as stream:
-            if args.points_format == "binary":
-                batch = read_points_binary(stream, args.precision)
-            else:
-                batch = read_points_csv(stream, args.precision)
+        binary = args.points_format == "binary"
+        with open(args.points, "rb" if binary else "r") as stream:
+            batch = (read_points_binary if binary else read_points_csv)(stream, args.precision)
         over = [n for n in n_list if n > len(batch)]
         if over:
             raise UsageError(f"file holds {len(batch)} points, N={over[0]} requested")
@@ -189,7 +184,7 @@ def cmd_fstat(args):
         spec = _spec_from_args(args)
         batch = generate(spec, n_list[-1])
         label, params = spec.kind, _spec_label(spec)
-    results = f_stat_profile(batch, n_list, alphas, svals, guard_ulps=args.guard_band)
+    results = f_stat_profile(batch, n_list, alphas, svals)
     with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("sequence,params,N,alpha,s,threshold,count,F,"
@@ -204,6 +199,10 @@ def cmd_fstat(args):
                 stream.write(f"N={r.n} alpha={r.alpha} s={r.s}: "
                              f"count={r.ordered_pair_count} F={r.f_value:.6f} "
                              f"ambiguous={r.ambiguous_pairs}\n")
+    for r in results:
+        if r.ambiguous_pairs:  # the points' own error puts pairs on both sides of the threshold
+            print(f"warning: N={r.n} alpha={r.alpha} s={r.s}: the count is certain only to within "
+                  f"{r.ambiguous_pairs} pairs; --precision 128 narrows that", file=sys.stderr)
     return 0
 
 
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("fstat", help="pair correlation statistic sweep")
-    _flags(p, "--precision", "--guard-band", "--out", "--format", "--max-points")
+    _flags(p, "--precision", "--out", "--format", "--max-points")
     _sequence_flags(p)
     p.add_argument("--n", required=True, help="comma-separated N list")
     p.add_argument("--alpha", default="1", help="comma-separated alpha list (exact decimals)")

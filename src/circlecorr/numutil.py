@@ -18,7 +18,6 @@ from typing import Optional
 
 DEFAULT_PRECISION = 64
 SUPPORTED_PRECISIONS = (64, 128)
-DEFAULT_GUARD_ULPS = 4
 _BRACKET_DOUBLINGS = 8  # interval precisions tried before exact powers decide
 _ROOT_BITS = 4096  # largest power, in bits, that _root_floor takes instead of the bracket
 _POWER_BITS = 1 << 22  # largest power, in bits, that exact powers settle after the bracket

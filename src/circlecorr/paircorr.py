@@ -10,7 +10,8 @@ On the 2^128 grid the kernel searches uint64 limbs: the high limb places
 each window end, and the low limb settles it only inside a run of equal
 high limbs.
 f_stat counts any other fixed-point cell in one kernel pass and finds the
-guard band from the points next to each forward window end.
+pairs within the batch's own point error of the threshold from the points
+next to each forward window end.
 The naive path tests every pair, in strips of cyclic offsets, as an
 independent oracle: one wrapped subtraction per pair on the 2^64 grid.
 Thresholds come from numutil, decided exactly: floored against the
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _lazy_module
-from .numutil import (DEFAULT_GUARD_ULPS, Threshold, _exact_threshold_numerator,
-                      _finite_fraction, threshold_from)
+from .numutil import Threshold, _exact_threshold_numerator, _finite_fraction, threshold_from
 from .sequences import Batch, RationalBatch, split_limbs
 
 np = _lazy_module("numpy")
@@ -384,25 +384,25 @@ class PairCountResult:
         return self.ordered_pair_count / scale
 
 
-def f_stat(points, s, alpha, guard_ulps=DEFAULT_GUARD_ULPS) -> PairCountResult:
+def f_stat(points, s, alpha) -> PairCountResult:
     """Ordered count of pairs with ||x_l - x_m|| <= s/N^alpha, and F = count/N^(2-alpha).
 
     s and alpha are read once as exact Fractions, the same on every batch: a
     float means its binary value (0.1 is 3602879701896397/2^55), not 1/10.
     Rational batches are counted with exact integer comparisons against the
-    exact threshold (no guard band); fixed-point batches use the rounded
-    threshold and tally pairs within +-guard_ulps of it as ambiguous.
+    exact threshold, with no ambiguous pair.  Fixed-point batches are
+    counted at the threshold t rounded to the grid; with g = ceil(points.error),
+    the batch's bound on a pair distance's error, the ambiguous pairs are the
+    width of the bracket count(t - g - 1) <= true count <= count(t + g).
     A rotation batch, which carries its step (every Kronecker batch built
     by sequences does), is counted from that step by rotation_count, with no
     pass over the points; every other fixed-point batch by one window-kernel
     pass whose window ends show the few queries that need recounting for
-    the band.
+    the bracket.
     """
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
-    if guard_ulps < 0:
-        raise ValueError("the guard band must be >= 0 ulps")
     s_f, alpha_f = _finite_fraction(s, "s"), _finite_fraction(alpha, "alpha")
     if isinstance(points, RationalBatch):
         d_max = _exact_threshold_numerator(s_f, n, alpha_f, points.modulus)
@@ -413,18 +413,17 @@ def f_stat(points, s, alpha, guard_ulps=DEFAULT_GUARD_ULPS) -> PairCountResult:
     t = thr.distance.value
     if thr.degenerate:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
-    g, modulus, step = guard_ulps, points.modulus, points.step
+    g, modulus, step = math.ceil(points.error), points.modulus, points.step
     if step is None:
         count, ambiguous = _guarded_counts(_sorted_keys(points), t, g, modulus)
-    else:  # the count at t, then the guard band's ends t + g and t - g - 1
+    else:  # the count at t, then the bracket's ends t + g and t - g - 1
         count = rotation_count(step, n, t, modulus)
         ambiguous = (rotation_count(step, n, t + g, modulus)
                      - rotation_count(step, n, t - g - 1, modulus))
     return PairCountResult(n, float(alpha), float(s), thr, count, ambiguous)
 
 
-def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list,
-                   guard_ulps=DEFAULT_GUARD_ULPS):
+def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list):
     """Evaluate f_stat on prefixes of one batch, cell by cell.
 
     Results come back in (N, alpha, s) lexicographic order; every N is in [2, len(batch)].
@@ -439,6 +438,6 @@ def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list,
         prefix = batch.prefix(n)
         for alpha in alpha_list:
             for s in s_list:
-                results.append(f_stat(prefix, s, alpha, guard_ulps=guard_ulps))
+                results.append(f_stat(prefix, s, alpha))
     return results
 

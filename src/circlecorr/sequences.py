@@ -58,13 +58,11 @@ def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
     if isinstance(z_spec, Fraction):
         return _nearest_raw(z_spec, precision)
     if isinstance(z_spec, str):
-        if "/" in z_spec:
-            return _nearest_raw(Fraction(z_spec), precision)
-        if re.fullmatch(r"[+-]?\d+", z_spec):  # an integer, with no point or exponent
-            return _nearest_raw(Fraction(int(z_spec)), precision)
+        # p/q, or an integer with no point or exponent, is exact as typed
+        exact = "/" in z_spec or re.fullmatch(r"[+-]?\d+", z_spec)
         # the digits after the point and before any exponent
         frac_digits = sum(ch.isdigit() for ch in z_spec.lower().partition("e")[0].partition(".")[2])
-        if frac_digits * math.log2(10) < precision + 8:
+        if not exact and frac_digits * math.log2(10) < precision + 8:
             raise ValueError(
                 f"decimal z needs >= {math.ceil((precision + 8) / math.log2(10))} "
                 f"fractional digits for precision {precision}, got {frac_digits}")
@@ -121,6 +119,7 @@ class Batch:
     """
 
     step = None
+    error = 0  # ulps by which a pair's grid distance may miss the true points' distance
 
     def __init__(self, raw, modulus: int):
         self.modulus = modulus
@@ -206,15 +205,9 @@ class RationalBatch(Batch):
         den = self.modulus
         scale = 1 << precision
         nums = self.raw.astype(object)  # the scaled numerators exceed 64 bits
-        return FixedBatch(precision, (nums * scale * 2 + den) // (2 * den) % scale)
-
-
-def _num_digits(n: int, base: int) -> int:
-    digits = 0
-    while n:
-        digits += 1
-        n //= base
-    return digits
+        fixed = FixedBatch(precision, (nums * scale * 2 + den) // (2 * den) % scale)
+        fixed.error = 1  # each point is rounded by up to 1/2 ulp
+        return fixed
 
 
 def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatch:
@@ -230,7 +223,9 @@ def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatc
 
 def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:
     start = 0 if include_zero else 1
-    k = _num_digits(start + N - 1, base)
+    k, top = 0, start + N - 1
+    while top:  # k = the number of base-b digits of the largest index
+        k, top = k + 1, top // base
     # reverse the k base-b digits of every index at once, lowest digit first
     n = np.arange(start, start + N, dtype=np.uint64 if base ** k < _U64_LIMIT else object)
     nums = np.zeros_like(n)
@@ -249,9 +244,16 @@ class RotationBatch(FixedBatch):
     ``prefix`` shortens N in O(1), and slices what is already built.
     """
 
+    step_error = 0  # ulps between the step and the z 2^P it stands for
+
     def __init__(self, precision: int, step: int, first: int, n: int):
         super().__init__(precision, None)
         self.step, self.first, self._n = step, first, n
+
+    @property
+    def error(self):
+        """A pair at lag d < N is off by at most d times the step's error."""
+        return (self._n - 1) * self.step_error
 
     def _build(self) -> np.ndarray:
         first, n, z = self.first, self._n, self.step
@@ -267,10 +269,12 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     of the largest index) unless b^k exceeds the exact-mode cap, in which
     case a fixed-point batch is returned instead.  `start` offsets the
     index range: kronecker gives n = start .. start+N-1, sqrt_frac
-    n = start+1 .. start+N.
+    n = start+1 .. start+N; vdc and iid take none.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if start and spec.kind in ("vdc", "iid"):
+        raise ValueError(f"{spec.kind} takes no start index, got {start}")
     if spec.kind == "vdc":
         return _vdc_batch(spec.base, N, spec.include_zero, spec.precision)
     if spec.kind == "kronecker":
@@ -278,8 +282,10 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if spec.kind == "sqrt_frac":
         # floor(sqrt(n) 2^P) mod 2^P is floor({sqrt n} 2^P): 0 on perfect squares
         P = spec.precision
-        return FixedBatch(P, [math.isqrt(n << 2 * P) & ((1 << P) - 1)
-                              for n in range(start + 1, start + N + 1)])
+        batch = FixedBatch(P, [math.isqrt(n << 2 * P) & ((1 << P) - 1)
+                               for n in range(start + 1, start + N + 1)])
+        batch.error = 1  # each point is floored by less than 1 ulp
+        return batch
     return iid_uniform(N, spec.seed, spec.precision)
 
 
@@ -290,4 +296,9 @@ def kronecker_orbit(z_spec, N: int, precision=DEFAULT_PRECISION,
     The batch holds z, the start and N, and builds its points only when
     something reads them.
     """
-    return RotationBatch(precision, resolve_z(z_spec, precision), first, N)
+    orbit = RotationBatch(precision, resolve_z(z_spec, precision), first, N)
+    if z_spec == "golden":  # golden_raw rounds the floor of frac(phi) 2^192 to P bits
+        orbit.step_error = Fraction(1, 2) + Fraction(1, 1 << (_GOLDEN_BITS - precision))
+    elif not isinstance(z_spec, int):  # a raw integer is on the grid; any other z is rounded
+        orbit.step_error = Fraction(1, 2)
+    return orbit

@@ -126,10 +126,7 @@ def predict_gaps(z_spec, N: int, precision: int = DEFAULT_PRECISION,
     z_raw = resolve_z(z_spec, precision)
     modulus = 1 << precision
     if cf is None:
-        if z_spec == "golden":
-            cf = cfmod.golden_cf()
-        else:
-            cf = cfmod.cf_expand(z_raw, precision=precision)
+        cf = cfmod.golden_cf() if z_spec == "golden" else cfmod.cf_expand(z_raw, precision)
     # q_i does not depend on a_0, so cf may describe z or {z} interchangeably
     denominators = cf.q
     k, m, r = gap_decomposition(N, denominators)

@@ -321,19 +321,16 @@ def suite_lemma11(draws: int = 100, seed: int = 11):
     report = VerificationReport("lemma11")
     rng = random.Random(seed)
     phi = (1 + 5 ** 0.5) / 2
-    worst = 0.0
-    ok = True
+    worst, ok = 0.0, True
     for _ in range(draws):
         indices = _random_zeckendorf_indices(rng, 12, rng.randint(20, 60))
         num = sum(cfmod.fibonacci(i) for i in indices)
         den = sum(cfmod.fibonacci(i - 1) for i in indices)
         rep = cfmod.golden_ostrowski(num)
         ratio = cfmod.lemma11_ratio(rep)
-        if Fraction(num, den) != ratio:
-            ok = False
         err = abs(float(ratio) - phi)
         worst = max(worst, err)
-        ok = ok and err < 1e-3
+        ok = ok and ratio == Fraction(num, den) and err < 1e-3
     report.add(f"{draws} random representations, lowest index >= 12",
                "|ratio - phi| < 1e-3", f"worst {worst:.2e}", "1e-3", ok)
     return report
@@ -365,10 +362,8 @@ def suite_lemma12(h_final: int = 20, h_start: int = 10):
             phi = cfmod.phi_mpf()
             k = 1 / (phi * cfmod.fibonacci(h - 1) + cfmod.fibonacci(h - 2))
             # the grid rounding of phi drifts by up to one ulp per step n
-            if abs(md / mpmath.mpf(2) ** 64 - k) > (n + 4) * mpmath.mpf(2) ** -64:
-                agree = False
-        if not md * 2 * n > 1 << 64:
-            agree = False
+            agree = agree and abs(md / mpmath.mpf(2) ** 64 - k) <= (n + 4) * mpmath.mpf(2) ** -64
+        agree = agree and md * 2 * n > 1 << 64
     report.add("minimal orbit gap matches ||q_(h-1) phi|| and exceeds 1/(2 q_h)",
                "agreement within N+4 ulp", "yes" if agree else "no", "N+4 ulp", agree)
     return report

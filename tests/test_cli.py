@@ -428,7 +428,7 @@ def test_fstat_non_finite_alpha_or_s_is_usage_error(flag, capsys):
 
 def test_fstat_reads_a_decimal_alpha_exactly(capsys):
     # 0.9 is 9/10, not the float 0.90000000000000002220..., whose threshold
-    # at N = 987 lies 6 ulps away, past the default guard band
+    # at N = 987 lies 6 ulps away
     code, out, _ = run_cli("fstat --n 987 --alpha 0.9 --s 1".split(), capsys)
     assert code == 0
     thr = threshold_from(1, 987, Fraction(9, 10)).distance
@@ -558,13 +558,28 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_negative_guard_band_is_usage_error(capsys):
+def test_guard_band_flag_is_gone(capsys):
+    # the band comes from each batch's own point error, so no flag sets it
     with pytest.raises(SystemExit) as exc:
-        main(["fstat", "--n", "100", "--guard-band", "-1"])
+        main("fstat --n 100 --guard-band 4".split())
     assert exc.value.code == 2
-    assert "--guard-band" in capsys.readouterr().err
-    code, _, _ = run_cli(["fstat", "--n", "100", "--guard-band", "0"], capsys)
-    assert code == 0
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_wide_bracket_warns_on_stderr(capsys, monkeypatch):
+    # at P = 64 the golden orbit's own drift, N/2 ulps, puts pairs on both
+    # sides of the threshold at N = 10^10; P = 128 holds the count to one point
+    def build(self):
+        raise AssertionError("built the orbit")
+
+    monkeypatch.setattr(sequences.RotationBatch, "_build", build)
+    argv = "fstat --seq kronecker --n 10000000000 --max-points 10000000000 --alpha 1".split()
+    code, out, err = run_cli(argv, capsys)
+    ambiguous = int(out.splitlines()[1].split(",")[-1])
+    assert code == 0 and ambiguous > 0
+    assert err.count("warning") == 1 and f"{ambiguous} pairs" in err and "--precision 128" in err
+    code, out, err = run_cli(argv + ["--precision", "128"], capsys)
+    assert code == 0 and out.splitlines()[1].endswith(",0") and err == ""
 
 
 @pytest.mark.parametrize("precision", [64, 128])

@@ -17,7 +17,7 @@ from circlecorr.numutil import circle_dist_raw
 from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
                                  pair_count_fast, pair_count_naive,
                                  per_point_counts, rotation_count, sorted_raw)
-from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate,
+from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, SequenceSpec, generate,
                                   iid_uniform, kronecker_orbit)
 
 M64 = 1 << 64
@@ -455,12 +455,51 @@ def test_iid_p128_cells_never_search_python_ints():
     for res, s, alpha in cells:
         t = res.threshold.distance.value
         assert (res.ordered_pair_count, res.ambiguous_pairs) == \
-            guarded_reference(batch.raw, t, 4, 1 << 128)
+            guarded_reference(batch.raw, t, math.ceil(batch.error), 1 << 128)
 
 
-def test_f_stat_rejects_a_negative_guard_band():
-    with pytest.raises(ValueError):
-        f_stat(iid_uniform(100, seed=1), 1, 0.5, guard_ulps=-1)
+# --- the band from the batch's own point error -------------------------------
+
+
+def test_golden_p64_bracket_is_wide_at_n_1e12_and_p128_is_one_point():
+    # a lag-d pair of the P = 64 orbit drifts by up to d/2 ulps from the true
+    # golden rotation, so at N = 10^12 the count at the rounded threshold is
+    # certain only to within a wide bracket; at P = 128 the bracket is one point
+    expect = {(64, Fraction(1, 2)): (2000001875405907514, 108419687261999996),
+              (64, 1): (1612281509056, 54210111149958698),
+              (128, Fraction(1, 2)): (1999998554946376234, 0),
+              (128, 1): (903982488160, 0)}
+    for (precision, alpha), cell in expect.items():
+        res = f_stat(kronecker_orbit("golden", 10 ** 12, precision=precision), 1, alpha)
+        assert (res.ordered_pair_count, res.ambiguous_pairs) == cell
+
+
+def test_a_rounded_point_error_makes_a_pair_at_t_plus_1_ambiguous():
+    # alpha = 0 puts t at s 2^64 exactly; one pair lies at distance t + 1
+    t = 3 << 60
+    s = Fraction(t, M64)
+    rounded = RationalBatch(2, 64, [0, t + 1]).to_fixed(64)
+    assert rounded.error == 1
+    assert f_stat(rounded, s, 0).ambiguous_pairs == 2
+    assert f_stat(FixedBatch(64, rounded.raw), s, 0).ambiguous_pairs == 0
+    # {sqrt n} points are floored, so they carry the same 1-ulp error
+    roots = generate(SequenceSpec("sqrt_frac"), 3)
+    d = circle_dist_raw(int(roots.raw[1]), int(roots.raw[2]), M64)
+    s = Fraction(d - 1, M64)
+    res = f_stat(roots, s, 0)
+    assert (roots.error, res.threshold.distance.value) == (1, d - 1)
+    assert res.ambiguous_pairs >= 2
+    assert f_stat(FixedBatch(64, roots.raw), s, 0).ambiguous_pairs == 0
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6, 3 * 10 ** 6])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(9, 10)], ids=["1/2", "9/10"])
+def test_rotation_sweep_cells_stay_unambiguous(n, alpha):
+    # the benchmark's golden cells (P = 64, s = 1): the derived band, about N/2
+    # ulps wide, must keep every one of them a single certain count
+    orbit = kronecker_orbit("golden", n)
+    assert math.ceil(orbit.error) == (n + 1) // 2
+    assert f_stat(orbit, 1, alpha).ambiguous_pairs == 0
 
 
 # --- the F statistic --------------------------------------------------------
@@ -531,8 +570,8 @@ def assert_rescaling_identity(batch, s, a1, a2):
     # s N^(a1 - a2) / N^a1 is the same number as s / N^a2, so both cells agree
     r = math.isqrt(math.isqrt(len(batch)))
     assert r ** 4 == len(batch)
-    direct = f_stat(batch, s, a2, guard_ulps=0)
-    via = f_stat(batch, s * Fraction(r) ** int(4 * (a1 - a2)), a1, guard_ulps=0)
+    direct = f_stat(batch, s, a2)
+    via = f_stat(batch, s * Fraction(r) ** int(4 * (a1 - a2)), a1)
     assert via.threshold == direct.threshold
     assert via.ordered_pair_count == direct.ordered_pair_count
 
@@ -806,18 +845,27 @@ def test_f_stat_float_alpha_on_vdc_is_fast():
 
 
 def _without_step(batch):
-    """The same points as a plain fixed-point batch, which f_stat counts by the window kernel."""
-    return FixedBatch(batch.precision, batch.raw)
+    """The same points and error as a plain fixed-point batch, counted by the window kernel."""
+    plain = FixedBatch(batch.precision, batch.raw)
+    plain.error = batch.error
+    return plain
 
 
-def _same_as_window_path(batch, s, alpha, guard_ulps=4):
-    """f_stat on a rotation batch equals f_stat on its points without the step."""
+def _same_as_window_path(batch, s, alpha):
+    """f_stat on a rotation batch: the same as on its points without the step.
+
+    Both equal _guarded_counts at the batch's own band g = ceil(error).
+    """
     assert batch.step is not None
-    fast = f_stat(batch, s, alpha, guard_ulps=guard_ulps)
+    fast = f_stat(batch, s, alpha)
     assert batch._sorted is None and batch._limbs is None  # the floor sum never sorts
-    slow = f_stat(_without_step(batch), s, alpha, guard_ulps=guard_ulps)
+    plain = _without_step(batch)
+    slow = f_stat(plain, s, alpha)
+    n, t, g = len(batch), fast.threshold.distance.value, math.ceil(batch.error)
+    expect = (n * (n - 1), 0) if fast.threshold.degenerate else \
+        paircorr._guarded_counts(paircorr._sorted_keys(plain), t, g, batch.modulus)
     assert (fast.ordered_pair_count, fast.ambiguous_pairs) == \
-        (slow.ordered_pair_count, slow.ambiguous_pairs)
+        (slow.ordered_pair_count, slow.ambiguous_pairs) == expect
     return fast
 
 
@@ -825,12 +873,17 @@ def _same_as_window_path(batch, s, alpha, guard_ulps=4):
                                0xd1b54a32d192ed03, 0, 1])
 @pytest.mark.parametrize("precision", [64, 128])
 def test_f_stat_rotation_matches_window_path(z, precision):
-    for n, start in ((2, 0), (987, 0), (1500, 37)):
+    # a raw-integer step has band 0; any other z has (N - 1)/2 ulps or a
+    # little more: 1 at N = 2, 4 at N = 8, wide at N = 987 and 1500
+    bands = set()
+    for n, start in ((2, 0), (8, 0), (987, 0), (1500, 37)):
         for alpha in (0.5, 0.9, 1):
             for s in (Fraction(1, 2), 1, 3):
                 batch = generate(SequenceSpec("kronecker", z_spec=z, precision=precision),
                                  n, start=start)
                 _same_as_window_path(batch, s, alpha)
+                bands.add(math.ceil(batch.error))
+    assert bands == {0} if isinstance(z, int) else {1, 4} <= bands
 
 
 def test_f_stat_rotation_edge_thresholds():
@@ -838,10 +891,13 @@ def test_f_stat_rotation_edge_thresholds():
         return kronecker_orbit("golden", 2000)
     # s/N^alpha >= 1/2: the degenerate branch counts every ordered pair
     assert _same_as_window_path(orbit(), 1, 0).ordered_pair_count == 2000 * 1999
-    # t <= guard band: no lower recount; then a band of 10^15 ulps
-    res = _same_as_window_path(orbit(), Fraction(1, 2 ** 62), 0, guard_ulps=4)
-    assert res.threshold.distance.value <= 4
-    _same_as_window_path(orbit(), 1, 0.5, guard_ulps=10 ** 15)
+    # t <= g, the band of about N/2 ulps: no lower recount; then a band of 10^15 ulps
+    res = _same_as_window_path(orbit(), Fraction(1, 2 ** 62), 0)
+    assert res.threshold.distance.value <= 4 < math.ceil(orbit().error)
+    wide = orbit()
+    wide.step_error = Fraction(10 ** 15, 1999)
+    assert wide.error == 10 ** 15
+    _same_as_window_path(wide, 1, 0.5)
     # all points equal: every pair is within any threshold
     same = kronecker_orbit(0, 500)
     assert _same_as_window_path(same, 1, 1).ordered_pair_count == 500 * 499
@@ -850,7 +906,8 @@ def test_f_stat_rotation_edge_thresholds():
 @pytest.mark.parametrize("precision", [64, 128])
 def test_f_stat_rotation_band_edges(precision):
     # steps of 1, 3 and -3 ulps put pair distances on every threshold near t,
-    # and at alpha = 0 the raw threshold is s 2^P = t + 1/4 rounded
+    # and at alpha = 0 the raw threshold is s 2^P = t + 1/4 rounded; a step
+    # error of g/39 ulps gives the 40 points the band g
     for z in (1, 3, -3):
         orbit = kronecker_orbit(z, 40, precision=precision)
         raw = [int(v) for v in orbit.raw]
@@ -858,8 +915,9 @@ def test_f_stat_rotation_band_edges(precision):
             return reference_count(raw, t, orbit.modulus) if t >= 0 else 0
         for t in range(0, 3 * 40, 7):
             for g in (0, 1, 4):
+                orbit.step_error = Fraction(g, 39)
                 s = Fraction(4 * t + 1, 4 * orbit.modulus)
-                res = _same_as_window_path(orbit, s, 0, guard_ulps=g)
+                res = _same_as_window_path(orbit, s, 0)
                 assert res.threshold.distance.value == t
                 assert res.ordered_pair_count == count(t)
                 assert res.ambiguous_pairs == count(t + g) - count(t - g - 1)

@@ -65,6 +65,37 @@ def test_golden_raw_matches_mpmath():
     assert golden_raw(64) == expected
 
 
+@pytest.mark.parametrize("precision", [64, 128])
+def test_each_family_carries_its_point_error(precision):
+    # error bounds how far a pair's grid distance lies from the true one, in ulps
+    half, spec = Fraction(1, 2), SequenceSpec("vdc", base=3, precision=precision)
+    assert generate(spec, 10).error == 0  # exact rationals
+    assert generate(spec, 10).to_fixed(precision).error == 1  # each point within 1/2 ulp
+    assert generate(SequenceSpec("vdc", base=10 ** 40, precision=precision), 10).error == 1
+    assert generate(SequenceSpec("sqrt_frac", precision=precision), 10).error == 1  # floored
+    assert generate(SequenceSpec("iid", precision=precision), 10).error == 0
+    assert FixedBatch(precision, [1, 2]).error == 0
+    # a rotation pair at lag d < N is off by d times the step's error
+    assert kronecker_orbit(5, 10, precision).error == 0
+    assert kronecker_orbit(Fraction(1, 3), 10, precision).error == 9 * half
+    assert kronecker_orbit("0." + "3" * 45, 10, precision).error == 9 * half
+    golden = kronecker_orbit("golden", 10, precision)
+    with mpmath.workdps(100):
+        drift = abs(golden.step - (mpmath.sqrt(5) - 1) / 2 * 2 ** precision)
+        assert drift <= mpmath.mpf(golden.step_error.numerator) / golden.step_error.denominator
+    assert golden.step_error == half + Fraction(1, 2 ** (192 - precision))
+    assert (golden.error, golden.prefix(4).error) == (9 * golden.step_error,
+                                                      3 * golden.step_error)
+
+
+@pytest.mark.parametrize("kind", ["vdc", "iid"])
+def test_generate_refuses_a_start_it_would_ignore(kind):
+    # these families have no index offset: start=5 gave the points of 0 .. 3
+    with pytest.raises(ValueError, match="start"):
+        generate(SequenceSpec(kind), 4, start=5)
+    assert len(generate(SequenceSpec(kind), 4, start=0)) == 4
+
+
 def test_resolve_z_forms_agree():
     dec = "0." + "6180339887498948482045868343656381177203091798057628621354486227"
     assert abs(resolve_z(dec) - resolve_z("golden")) <= 1
