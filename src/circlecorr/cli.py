@@ -29,6 +29,8 @@ DEFAULT_MAX_POINTS = 1 << 27
 # the last golden convergent numerator F_(terms+1) keeps <= 4300 digits, the
 # longest int Python prints by default
 GOLDEN_MAX_TERMS = 20576
+# the largest N whose pair counts, below N^2, keep within those 4300 digits
+FSTAT_MAX_N = 10 ** 2150
 # the keys of verify.SUITES, kept here so that parsing loads no suite
 SUITE_NAMES = ("iid-mean", "lemma10", "lemma11", "lemma12", "lemma9", "oracle", "performance",
                "thm6", "thm7", "threegap")
@@ -171,7 +173,11 @@ def cmd_fstat(args):
     n_list = sorted(_parse_list(args.n, int))
     if not (alphas and svals and n_list):
         raise UsageError("need non-empty --n, --alpha and --s lists")
-    _check_cap(n_list[-1], args.max_points)
+    if n_list[-1] > FSTAT_MAX_N:
+        raise UsageError("N above 10^2150 has pair counts longer than the 4300 digits "
+                         "Python prints")
+    if args.points or args.seq != "kronecker":  # a rotation is counted from its step
+        _check_cap(n_list[-1], args.max_points)
     if args.points:
         binary = args.points_format == "binary"
         with open(args.points, "rb" if binary else "r") as stream:

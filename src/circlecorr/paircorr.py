@@ -9,25 +9,25 @@ end of its forward window [x, x + t]; per-point counts search both ends.
 On the 2^128 grid the kernel searches uint64 limbs: the high limb places
 each window end, and the low limb settles it only inside a run of equal
 high limbs.
-f_stat counts any other fixed-point cell in one kernel pass and finds the
-pairs within the batch's own point error of the threshold from the points
-next to each forward window end.
+f_stat decides every count against the exact s/N^alpha, floored to t on
+the batch's own modulus by numutil; a batch whose points carry an error
+of g ulps is also counted at t - g and t + g, to bracket the true count.
+The threshold it reports is s/N^alpha rounded to the 2^-P grid.
 The naive path tests every pair, in strips of cyclic offsets, as an
 independent oracle: one wrapped subtraction per pair on the 2^64 grid.
-Thresholds come from numutil, decided exactly: floored against the
-denominator on rational batches, rounded to the nearest grid point on
-fixed-point batches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _lazy_module
-from .numutil import Threshold, _exact_threshold_numerator, _finite_fraction, threshold_from
-from .sequences import Batch, RationalBatch, split_limbs
+from .numutil import (DEFAULT_PRECISION, Threshold, _exact_threshold_numerator, _finite_fraction,
+                      threshold_from)
+from .sequences import Batch, split_limbs
 
 np = _lazy_module("numpy")
 _FULL64 = 1 << 64
@@ -201,81 +201,28 @@ def _blocks(a: tuple):
         yield _take(a, slice(i, i + _BLOCK))
 
 
-def _reach(a: tuple, queries: tuple, t: int, modulus: int) -> tuple:
-    """(ends, total) of the forward windows [x, x + t] of the queries, for 2t < modulus.
-
-    A query's window holds the sorted points up to index end - 1, read
-    cyclically; total sums the ends, with N added for each window that wraps
-    past the modulus, so that it sums R_i of _ordered_count.  One search
-    per query.
-    """
-    ends = _search(a, _shift(queries, t, modulus), "right")
-    wraps = int(np.count_nonzero(~_below(queries, modulus - t)))
-    return ends, int(ends.sum()) + len(a[0]) * wraps
-
-
 def _ordered_count(a: tuple, t: int, modulus: int) -> int:
     """Ordered count of pairs within circle distance t among the N sorted keys a.
 
     Let R_i be point i's forward window end, so that, read cyclically, the
-    points i + 1 .. R_i - 1 lie within forward distance t past point i.  With
-    2t < modulus a close pair of distinct points lies within forward
-    distance t in one direction only, and of two equal points only the later
-    lies past the earlier, so each close unordered pair is counted once and
-    the ordered count is 2 sum (R_i - i - 1) = 2 sum R_i - N (N + 1): runs
-    of equal keys need no term of their own.
+    points i + 1 .. R_i - 1 lie within forward distance t past point i: one
+    search for x_i + t, with N added when that window wraps past the
+    modulus.  With 2t < modulus a close pair of distinct points lies within
+    forward distance t in one direction only, and of two equal points only
+    the later lies past the earlier, so each close unordered pair is counted
+    once and the ordered count is 2 sum (R_i - i - 1) = 2 sum R_i - N (N + 1):
+    runs of equal keys need no term of their own.
     """
     n = len(a[0])
     if t < 0:
         return 0
     if 2 * t >= modulus:
         return n * (n - 1)
-    return 2 * sum(_reach(a, queries, t, modulus)[1] for queries in _blocks(a)) - n * (n + 1)
-
-
-def _minus(y: tuple, x: tuple) -> tuple:
-    """y - x on the 2^64 or 2^128 grid, where the keys wrap on their own."""
-    if y[1] is None:
-        return y[0] - x[0], None
-    return y[0] - x[0] - (y[1] < x[1]), y[1] - x[1]
-
-
-def _near_band(a: tuple, queries: tuple, ends, t: int, g: int) -> np.ndarray:
-    """Queries with a point at forward distance within [t - g, t + g], for t > g.
-
-    Forward distance grows from a query to the end of its window at t (past
-    the query's own run of equal keys, which lie at distance 0), so the
-    points just inside and just outside that end tell.  For the 2^64 and
-    2^128 grids.
-    """
-    n = len(a[0])
-    inside, outside = _take(a, (ends - 1) % n), _take(a, ends % n)
-    return ~_below(_minus(inside, queries), t - g) | _below(_minus(outside, queries), t + g + 1)
-
-
-def _guarded_counts(a: tuple, t: int, g: int, modulus: int) -> tuple:
-    """(ordered count at t, ambiguous pairs) of the sorted keys a of a fixed-point batch.
-
-    Ambiguous pairs lie within +-g of t: the ordered count at
-    top = min(t + g, modulus // 2) less that at low = t - g - 1.  Both are
-    2 sum (R_i - i - 1) (see _ordered_count), so the band is
-    2 sum (R_i(top) - R_i(low)), which only the queries _near_band finds
-    add to.  One pass at t counts every query and finds them.  With t <= g,
-    or 2 top >= modulus, a band end is no forward window: each end is
-    counted over every point.
-    """
-    top, low = min(t + g, modulus // 2), t - g - 1
-    if low < 0 or 2 * top >= modulus:
-        return (_ordered_count(a, t, modulus),
-                _ordered_count(a, top, modulus) - _ordered_count(a, low, modulus))
-    n = len(a[0])
-    count = band = 0
+    total = 0
     for queries in _blocks(a):
-        ends, total = _reach(a, queries, t, modulus)
-        count += total
-        near = _take(queries, _near_band(a, queries, ends, t, g))
-        band += _reach(a, near, top, modulus)[1] - _reach(a, near, low, modulus)[1]
-    return 2 * count - n * (n + 1), 2 * band
+        total += int(_search(a, _shift(queries, t, modulus), "right").sum())
+        total += n * int(np.count_nonzero(~_below(queries, modulus - t)))
+    return 2 * total - n * (n + 1)
 
 
 def _floor_sums(a: int, b: int, c: int, n: int) -> tuple:
@@ -389,50 +336,46 @@ def f_stat(points, s, alpha) -> PairCountResult:
 
     s and alpha are read once as exact Fractions, the same on every batch: a
     float means its binary value (0.1 is 3602879701896397/2^55), not 1/10.
-    Rational batches are counted with exact integer comparisons against the
-    exact threshold, with no ambiguous pair.  Fixed-point batches are
-    counted at the threshold t rounded to the grid; with g = ceil(points.error),
-    the batch's bound on a pair distance's error, the ambiguous pairs are the
-    width of the bracket count(t - g - 1) <= true count <= count(t + g).
-    A rotation batch, which carries its step (every Kronecker batch built
-    by sequences does), is counted from that step by rotation_count, with no
-    pass over the points; every other fixed-point batch by one window-kernel
-    pass whose window ends show the few queries that need recounting for
-    the bracket.
+    Every batch is counted against the exact s/N^alpha: at t = floor(x) for
+    x = s M / N^alpha on its own modulus M (b^k for exact van der Corput
+    batches, 2^P on the grid), since a grid distance is an integer.  With
+    g = ceil(points.error), the batch's bound on a pair distance's error,
+    count(t - g) <= true count <= count(t + g), and the ambiguous pairs are
+    count(t + g) - count(t - g): none when g = 0, which takes one pass.  A
+    rotation batch, which carries its step (every Kronecker batch built by
+    sequences does), is counted from that step by rotation_count, with no
+    pass over the points; every other batch by the window kernel.  The
+    reported threshold is s/N^alpha rounded to the 2^-P grid (P = 64 for
+    exact batches); it decides no count.
     """
-    n = len(points)
+    n = points.size
     if n < 2:
         raise ValueError("need at least two points")
     s_f, alpha_f = _finite_fraction(s, "s"), _finite_fraction(alpha, "alpha")
-    if isinstance(points, RationalBatch):
-        d_max = _exact_threshold_numerator(s_f, n, alpha_f, points.modulus)
-        count = pair_count_fast(points, min(d_max, points.modulus // 2))
-        thr = threshold_from(s_f, n, alpha_f, precision=64)
-        return PairCountResult(n, float(alpha), float(s), thr, count, 0)
-    thr = threshold_from(s_f, n, alpha_f, precision=points.precision)
-    t = thr.distance.value
-    if thr.degenerate:
+    thr = threshold_from(s_f, n, alpha_f, precision=getattr(points, "precision", DEFAULT_PRECISION))
+    modulus = points.modulus
+    t = _exact_threshold_numerator(s_f, n, alpha_f, modulus)
+    if 2 * t >= modulus:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
-    g, modulus, step = math.ceil(points.error), points.modulus, points.step
-    if step is None:
-        count, ambiguous = _guarded_counts(_sorted_keys(points), t, g, modulus)
-    else:  # the count at t, then the bracket's ends t + g and t - g - 1
-        count = rotation_count(step, n, t, modulus)
-        ambiguous = (rotation_count(step, n, t + g, modulus)
-                     - rotation_count(step, n, t - g - 1, modulus))
-    return PairCountResult(n, float(alpha), float(s), thr, count, ambiguous)
+    if points.step is None:
+        count = functools.partial(_ordered_count, _sorted_keys(points), modulus=modulus)
+    else:
+        count = functools.partial(rotation_count, points.step, n, modulus=modulus)
+    g = math.ceil(points.error)
+    ambiguous = count(t + g) - count(t - g) if g else 0
+    return PairCountResult(n, float(alpha), float(s), thr, count(t), ambiguous)
 
 
 def f_stat_profile(batch, n_list: Sequence[int], alpha_list, s_list):
     """Evaluate f_stat on prefixes of one batch, cell by cell.
 
-    Results come back in (N, alpha, s) lexicographic order; every N is in [2, len(batch)].
+    Results come back in (N, alpha, s) lexicographic order; every N is in [2, batch.size].
     """
     n_list = list(n_list)
     if any(b > a for a, b in zip(n_list[1:], n_list)):
         raise ValueError("n_list must be ascending")
-    if n_list and not 2 <= n_list[0] <= n_list[-1] <= len(batch):
-        raise ValueError(f"N in {n_list} outside [2, {len(batch)}], the batch's size")
+    if n_list and not 2 <= n_list[0] <= n_list[-1] <= batch.size:
+        raise ValueError(f"N in {n_list} outside [2, {batch.size}], the batch's size")
     results = []
     for n in n_list:
         prefix = batch.prefix(n)

@@ -116,6 +116,7 @@ class Batch:
     are not modified after construction, so the sorted views stay valid.
     A batch given in a compact form (the (high, low) limbs of ``split()``,
     or a rotation step) builds ``raw`` by ``_build`` only when it is read.
+    ``size`` is the number of points; len() holds it only below 2^63.
     """
 
     step = None
@@ -126,10 +127,10 @@ class Batch:
         self._raw = self._split = self._sorted = self._limbs = None
         if raw is not None:
             self._raw = np.asarray(raw, dtype=np.uint64 if modulus <= _U64_LIMIT else object)
-            self._n = len(self._raw)
+            self.size = len(self._raw)
 
     def __len__(self):
-        return self._n
+        return self.size
 
     @property
     def raw(self) -> np.ndarray:
@@ -164,10 +165,11 @@ class Batch:
 
     def prefix(self, n: int):
         """The first n points, as a batch of the same kind; slices only what is built."""
-        if not 0 <= n <= self._n:
-            raise ValueError(f"a prefix of {n} points is outside [0, {self._n}], the batch's size")
+        if not 0 <= n <= self.size:
+            raise ValueError(f"a prefix of {n} points is outside [0, {self.size}], "
+                             "the batch's size")
         head = copy.copy(self)
-        head._n = n
+        head.size = n
         head._sorted = head._limbs = None
         if self._raw is not None:
             head._raw = self._raw[:n]
@@ -190,7 +192,7 @@ class FixedBatch(Batch):
             return cls(64, limbs[:, 0])
         low, high = limbs.T
         batch = cls(precision, None)
-        batch._n, batch._split = len(limbs), (high, low)  # raw is joined only when read
+        batch.size, batch._split = len(limbs), (high, low)  # raw is joined only when read
         return batch
 
 
@@ -248,15 +250,15 @@ class RotationBatch(FixedBatch):
 
     def __init__(self, precision: int, step: int, first: int, n: int):
         super().__init__(precision, None)
-        self.step, self.first, self._n = step, first, n
+        self.step, self.first, self.size = step, first, n
 
     @property
     def error(self):
         """A pair at lag d < N is off by at most d times the step's error."""
-        return (self._n - 1) * self.step_error
+        return (self.size - 1) * self.step_error
 
     def _build(self) -> np.ndarray:
-        first, n, z = self.first, self._n, self.step
+        first, n, z = self.first, self.size, self.step
         if self.precision == 64:  # uint64 products wrap mod 2^64
             return np.arange(first, first + n, dtype=np.uint64) * np.uint64(z)
         return np.arange(first, first + n, dtype=object) * z % self.modulus

@@ -19,8 +19,7 @@ from . import _lazy_module, cf as cfmod
 from .numutil import _exact_threshold_numerator, threshold_from
 from .paircorr import (f_stat, f_stat_profile, pair_count_fast, pair_count_naive,
                        per_point_counts, rotation_count)
-from .sequences import (FixedBatch, SequenceSpec, generate, golden_raw, iid_uniform,
-                        kronecker_orbit)
+from .sequences import FixedBatch, SequenceSpec, generate, iid_uniform, kronecker_orbit
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
                        lemma9_bounds_check, predict_gaps)
 
@@ -218,21 +217,19 @@ def suite_thm7():
     report.add(f"F_N^1(1/2) at Fibonacci N up to {cfmod.fibonacci(hs[-1])}",
                "count 0, 0 ambiguous", f"violations at h={bad}" if bad else "all zero",
                "exact", not bad)
-    # golden_raw is within 1/2 ulp (plus 2^(P-192)) of z 2^P, so a pair at lag
-    # d < N lies within N/2 ulps of its true distance, and t within 1/2 ulp of
-    # 2^P/(2N): a pair truly within 1/(2N) is within t + ceil(N/2) + 1 on the
-    # grid, and a zero count there is a zero count for the irrational z itself
+    # count + ambiguous is 0 only if the count at t + ceil(error) is, and that
+    # bounds the count of the true golden z from above
     uncertified = []
     for precision in (64, 128):
         for h in hs:
-            n = cfmod.fibonacci(h)
-            t = threshold_from(Fraction(1, 2), n, 1, precision=precision).distance.value
-            if rotation_count(golden_raw(precision), n, t + (n + 1) // 2 + 1, 1 << precision):
+            orbit = kronecker_orbit("golden", cfmod.fibonacci(h), precision=precision)
+            res = f_stat(orbit, Fraction(1, 2), 1)
+            if res.ordered_pair_count + res.ambiguous_pairs:
                 uncertified.append((precision, h))
     report.add("F_N^1(1/2) for the true golden z at the same N, P = 64 and 128",
-               "count 0 at t + ceil(N/2) + 1",
+               "count + ambiguous 0",
                f"nonzero at (P, h)={uncertified}" if uncertified else "all zero",
-               "N/2 + 1 ulps", not uncertified)
+               "ceil(error) ulps", not uncertified)
     orbit30 = kronecker_orbit("golden", cfmod.fibonacci(30))
     orbit15 = orbit30.prefix(cfmod.fibonacci(15))
     for alpha in (0.3, 0.5, 0.7):

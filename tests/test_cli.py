@@ -483,10 +483,29 @@ def test_fstat_kronecker_never_builds_its_orbit(capsys):
     assert peak < 2 * 2 ** 20
 
 
-def test_fstat_kronecker_still_honours_the_cap(capsys):
-    code, out, err = run_cli(["fstat", "--seq", "kronecker", "--n", "10,3000000",
+def test_fstat_caps_the_points_it_builds_but_not_a_rotation(capsys):
+    # a rotation is counted from its step, so no --max-points applies to it
+    code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", "10,3000000",
+                            "--max-points", "2999999"], capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    for seq in ("vdc", "sqrt_frac", "iid"):
+        code, out, err = run_cli(["fstat", "--seq", seq, "--n", "10,3000000",
+                                  "--max-points", "2999999"], capsys)
+        assert code == 2 and out == "" and "cap" in err
+    code, out, err = run_cli(["gen", "--seq", "kronecker", "--n", "3000000",
                               "--max-points", "2999999"], capsys)
     assert code == 2 and out == "" and "cap" in err
+
+
+def test_fstat_on_a_rotation_of_any_size_ends_without_a_traceback(capsys):
+    # N past 2^63 is no len(); N past 10^2150 has counts longer than Python prints
+    code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", str(10 ** 30),
+                            "--alpha", "0.5,1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    start = time.perf_counter()
+    code, out, err = run_cli(["fstat", "--seq", "kronecker", "--n", str(10 ** 3999)], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and "10^2150" in err
 
 
 def test_f_stat_on_a_p128_binary_file_never_joins_its_limbs(tmp_path, monkeypatch, capsys):
@@ -573,7 +592,7 @@ def test_a_wide_bracket_warns_on_stderr(capsys, monkeypatch):
         raise AssertionError("built the orbit")
 
     monkeypatch.setattr(sequences.RotationBatch, "_build", build)
-    argv = "fstat --seq kronecker --n 10000000000 --max-points 10000000000 --alpha 1".split()
+    argv = "fstat --seq kronecker --n 10000000000 --alpha 1".split()
     code, out, err = run_cli(argv, capsys)
     ambiguous = int(out.splitlines()[1].split(",")[-1])
     assert code == 0 and ambiguous > 0

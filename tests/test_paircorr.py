@@ -255,23 +255,32 @@ def test_per_point_counts_on_0_1_and_block_plus_1_points():
     assert int(pp.sum()) == pair_count_fast(batch, t) == pair_count_naive(batch, t)
 
 
-# --- one kernel pass with the guard band from the window ends ---------------
+# --- the kernel at both ends of the guard band -------------------------------
 
 
-def guarded_reference(vals, t, g, modulus):
-    """(count at t, ambiguous pairs within +-g of t) by the naive oracle."""
-    below = pair_count_naive(vals, t - g - 1, modulus=modulus) if t > g else 0
-    upper = pair_count_naive(vals, min(t + g, modulus // 2), modulus=modulus)
-    return pair_count_naive(vals, t, modulus=modulus), upper - below
+def naive_at(vals, u, modulus):
+    """The naive count at any integer threshold u: 0 below 0."""
+    return pair_count_naive(vals, u, modulus=modulus) if u >= 0 else 0
 
 
 def assert_guarded_counts(vals, t, g, modulus):
+    """The kernel at t - g, t and t + g, and f_stat's bracket, against the naive oracle.
+
+    On the 2^P grid a batch whose points carry an error of g ulps has
+    (count, ambiguous) = (count(t), count(t + g) - count(t - g)) for
+    s = (2t + 1)/(2M) at alpha = 0, where floor(s M) = t.
+    """
     batch = Batch(vals, modulus)
-    expect = guarded_reference(vals, t, g, modulus)
-    assert paircorr._guarded_counts(paircorr._sorted_keys(batch), t, g, modulus) == expect
-    assert pair_count_fast(vals, t, modulus=modulus) == expect[0]
-    a = batch.sorted()
-    assert int(per_point_counts(a, t, modulus).sum()) == expect[0]
+    keys = paircorr._sorted_keys(batch)
+    low, count, top = expect = [naive_at(vals, u, modulus) for u in (t - g, t, t + g)]
+    assert [paircorr._ordered_count(keys, u, modulus) for u in (t - g, t, t + g)] == expect
+    assert pair_count_fast(vals, t, modulus=modulus) == count
+    assert int(per_point_counts(batch.sorted(), t, modulus).sum()) == count
+    if modulus in (M64, 1 << 128) and 2 * t < modulus:
+        fixed = FixedBatch(modulus.bit_length() - 1, vals)
+        fixed.error = g
+        res = f_stat(fixed, Fraction(2 * t + 1, 2 * modulus), 0)
+        assert (res.ordered_pair_count, res.ambiguous_pairs) == (count, top - low)
 
 
 def near_distances(draw, vals, modulus, offsets):
@@ -297,7 +306,7 @@ def limb_band_cases(draw):
     if kind == "distance":
         t = near_distances(draw, vals, modulus,
                            [k * M64 + j for k in range(-2, 3) for j in range(-2, 3)])
-    elif kind == "straddle":  # t - g - 1 < m 2^64 <= t + g, m next to a distance's high limb
+    elif kind == "straddle":  # t - g <= m 2^64 <= t + g, m next to a distance's high limb
         m = (near_distances(draw, vals, modulus, [0]) >> 64) + draw(st.integers(-1, 1))
         t = m * M64 + draw(st.integers(-g, g))
     else:
@@ -379,9 +388,9 @@ def test_kernel_ties_across_blocks_and_wraps(precision, block):
 
 @pytest.mark.parametrize("precision", [64, 128])
 def test_guarded_counts_where_a_band_end_leaves_the_kernel(precision):
-    # t <= g (the band reaches distance 0) and 2(t + g) >= M (it reaches the
-    # half circle): each end is counted over every point; repeated points, and
-    # pairs exactly half a circle apart
+    # t <= g (the lower end t - g is at or below distance 0) and 2(t + g) >= M
+    # (the upper end reaches the half circle, where every pair counts); repeated
+    # points, and pairs exactly half a circle apart
     modulus = 1 << precision
     vals = [int(v) for v in iid_uniform(30, seed=6, precision=precision).raw]
     vals += vals[:4] + [v ^ modulus // 2 for v in vals[:3]]
@@ -407,15 +416,18 @@ def searched_keys(fn, *args):
 
 @pytest.mark.parametrize("precision", [64, 128])
 def test_one_search_per_point(precision):
-    # pair_count_fast searches each point once; f_stat's fixed-point path
-    # searches each point once and twice more only the few next to the band
+    # pair_count_fast searches each point once, and so does f_stat on a batch
+    # with no point error: one pass at the floor t of s/N^alpha, with no
+    # recount of the queries that have a point at distance t
     n = 20000
-    batch = iid_uniform(n, seed=13, precision=precision)
-    t = f_stat(batch, 1, 0.5).threshold.distance.value
+    modulus = 1 << precision
+    t = numutil._exact_threshold_numerator(Fraction(1), n, Fraction(1, 2), modulus)
+    raw = [int(v) for v in iid_uniform(n - 1, seed=13, precision=precision).raw]
+    batch = FixedBatch(precision, raw + [(raw[0] + t) % modulus])
     count, keys = searched_keys(pair_count_fast, batch, t)
     assert keys == n
     result, keys = searched_keys(f_stat, batch, 1, 0.5)
-    assert result.ordered_pair_count == count and n <= keys < n + 100
+    assert result.ordered_pair_count == count and keys == n
 
 
 def test_kernel_memory_stays_in_blocks():
@@ -437,7 +449,7 @@ def test_kernel_memory_stays_in_blocks():
 
 def test_iid_p128_cells_never_search_python_ints():
     # every search of a non-rotation 2^128 cell runs on uint64 limbs, with the
-    # band settled on the low limb; no sorted array of Python ints is made
+    # window end settled on the low limb; no sorted array of Python ints is made
     real = paircorr._search
 
     def uint64_only(a, key, side):
@@ -450,12 +462,12 @@ def test_iid_p128_cells_never_search_python_ints():
             mock.patch.object(Batch, "sorted", side_effect=AssertionError):
         cells = [(f_stat(batch, s, alpha), s, alpha)
                  for s, alpha in ((1, 0.5), (1, 1), (tiny, 1))]
-    thresholds = [res.threshold.distance.value >> 64 for res, _, _ in cells]
-    assert thresholds[0] >= 2 and thresholds[1] >= 2 and thresholds[2] < 2
-    for res, s, alpha in cells:
-        t = res.threshold.distance.value
+    floors = [numutil._exact_threshold_numerator(Fraction(s), 1000, Fraction(alpha), 1 << 128)
+              for _, s, alpha in cells]
+    assert floors[0] >> 64 >= 2 and floors[1] >> 64 >= 2 and floors[2] >> 64 < 2
+    for (res, _, _), t in zip(cells, floors):
         assert (res.ordered_pair_count, res.ambiguous_pairs) == \
-            guarded_reference(batch.raw, t, math.ceil(batch.error), 1 << 128)
+            (pair_count_naive(batch.raw, t, modulus=1 << 128), 0)
 
 
 # --- the band from the batch's own point error -------------------------------
@@ -463,7 +475,7 @@ def test_iid_p128_cells_never_search_python_ints():
 
 def test_golden_p64_bracket_is_wide_at_n_1e12_and_p128_is_one_point():
     # a lag-d pair of the P = 64 orbit drifts by up to d/2 ulps from the true
-    # golden rotation, so at N = 10^12 the count at the rounded threshold is
+    # golden rotation, so at N = 10^12 the count at the floor of s/N^alpha is
     # certain only to within a wide bracket; at P = 128 the bracket is one point
     expect = {(64, Fraction(1, 2)): (2000001875405907514, 108419687261999996),
               (64, 1): (1612281509056, 54210111149958698),
@@ -490,6 +502,21 @@ def test_a_rounded_point_error_makes_a_pair_at_t_plus_1_ambiguous():
     assert (roots.error, res.threshold.distance.value) == (1, d - 1)
     assert res.ambiguous_pairs >= 2
     assert f_stat(FixedBatch(64, roots.raw), s, 0).ambiguous_pairs == 0
+
+
+def test_a_pair_past_the_exact_threshold_is_not_counted_where_it_rounds_in():
+    # x = s 2^64 = t + 3/4 rounds to t + 1, the one pair's distance, but the
+    # pair lies past x: exact points count 0 with nothing ambiguous, and a
+    # 1-ulp point error makes both ordered pairs ambiguous
+    t = 3 << 60
+    s = Fraction(4 * t + 3, 1 << 66)
+    points = FixedBatch(64, [0, t + 1])
+    res = f_stat(points, s, 0)
+    assert res.threshold.distance.value == t + 1
+    assert (res.ordered_pair_count, res.ambiguous_pairs) == (0, 0)
+    points.error = 1
+    res = f_stat(points, s, 0)
+    assert (res.ordered_pair_count, res.ambiguous_pairs) == (0, 2)
 
 
 @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6, 3 * 10 ** 6])
@@ -854,16 +881,21 @@ def _without_step(batch):
 def _same_as_window_path(batch, s, alpha):
     """f_stat on a rotation batch: the same as on its points without the step.
 
-    Both equal _guarded_counts at the batch's own band g = ceil(error).
+    Both equal the kernel's (count(t), count(t + g) - count(t - g)) at the
+    floor t of s/N^alpha and the batch's own band g = ceil(error).
     """
     assert batch.step is not None
     fast = f_stat(batch, s, alpha)
     assert batch._sorted is None and batch._limbs is None  # the floor sum never sorts
     plain = _without_step(batch)
     slow = f_stat(plain, s, alpha)
-    n, t, g = len(batch), fast.threshold.distance.value, math.ceil(batch.error)
+    n, g, modulus = len(batch), math.ceil(batch.error), batch.modulus
+    t = numutil._exact_threshold_numerator(Fraction(s), n, Fraction(alpha), modulus)
+    keys = paircorr._sorted_keys(plain)
+    def count(u):
+        return paircorr._ordered_count(keys, u, modulus)
     expect = (n * (n - 1), 0) if fast.threshold.degenerate else \
-        paircorr._guarded_counts(paircorr._sorted_keys(plain), t, g, batch.modulus)
+        (count(t), count(t + g) - count(t - g))
     assert (fast.ordered_pair_count, fast.ambiguous_pairs) == \
         (slow.ordered_pair_count, slow.ambiguous_pairs) == expect
     return fast
@@ -920,7 +952,7 @@ def test_f_stat_rotation_band_edges(precision):
                 res = _same_as_window_path(orbit, s, 0)
                 assert res.threshold.distance.value == t
                 assert res.ordered_pair_count == count(t)
-                assert res.ambiguous_pairs == count(t + g) - count(t - g - 1)
+                assert res.ambiguous_pairs == count(t + g) - count(t - g)
 
 
 def test_f_stat_rotation_prefixes_and_profile():

@@ -46,8 +46,15 @@ def test_thm7_certifies_the_zero_counts_for_the_true_golden_z():
     report = verify.suite_thm7()
     cert = [c for c in report.checks if CERTIFICATE in c.description]
     assert len(cert) == 1 and cert[0].passed and report.passed
-    # the certificate reads its own counts: a nonzero one fails it alone
-    with mock.patch.object(verify, "rotation_count", lambda *args: 1):
+    # the certificate reads the P = 128 brackets too: one ambiguous pair there fails it alone
+    real = verify.f_stat
+
+    def one_more_at_p128(points, s, alpha):
+        res = real(points, s, alpha)
+        return dataclasses.replace(res, ambiguous_pairs=res.ambiguous_pairs
+                                   + (points.modulus == 1 << 128))
+
+    with mock.patch.object(verify, "f_stat", one_more_at_p128):
         report = verify.suite_thm7()
     assert [c.passed for c in report.checks if CERTIFICATE in c.description] == [False]
     assert all(c.passed for c in report.checks if CERTIFICATE not in c.description)
