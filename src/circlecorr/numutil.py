@@ -3,10 +3,10 @@
 A point of [0,1) is a raw integer over a modulus: 2^P on the fixed-point
 grid (P = 64 or 128), where addition modulo 2^P is addition modulo 1, or
 b^k for exact van der Corput batches.  The threshold s/N^alpha is decided
-exactly on every modulus: _exact_threshold_numerator floors it against any
-denominator, and threshold_from rounds it to the nearest point of the 2^P
-grid through that floor: an integer q-th root for alpha = p/q with a small
-q, else an mpmath interval bracket, so mpmath is imported only for those.
+exactly on every modulus: each count is taken at _exact_threshold_numerator's
+floor against the modulus, an integer q-th root for alpha = p/q with a small
+q, else an mpmath interval bracket (mpmath is imported only for those), and
+threshold_from, report-only, rounds through it to the nearest 2^-P point.
 """
 
 from __future__ import annotations

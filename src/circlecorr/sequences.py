@@ -29,6 +29,7 @@ EXACT_DENOM_CAP = 1 << 120
 _U64_LIMIT = 1 << 64
 _MASK64 = _U64_LIMIT - 1
 _LIMB_BLOCK = 1 << 12  # values split or joined at once, which bounds the temporaries
+_RANDBYTES_BLOCK = 1 << 27  # bytes per randbytes call (whole 32-bit words, below its 2^28 limit)
 
 
 def golden_raw(precision=DEFAULT_PRECISION) -> int:
@@ -216,11 +217,13 @@ def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatc
     """Seeded uniform draws on the 2^P grid; deterministic for a fixed seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    # randbytes(k) is getrandbits(8 k) in little-endian bytes, so its uint64
-    # limbs, low limb first, are the values getrandbits(P) would draw in turn
-    data = random.Random(seed).randbytes(count * precision // 8)
-    return FixedBatch.from_limbs(precision, np.frombuffer(data, dtype="<u8")
-                                 .reshape(count, precision // 64))
+    # randbytes(k) is getrandbits(8 k) in little-endian bytes, so its uint64 limbs, low
+    # limb first, are the values getrandbits(P) draws in turn; successive blocks are one draw
+    rng, size, block = random.Random(seed), count * precision // 8, _RANDBYTES_BLOCK
+    data = np.empty(size, dtype=np.uint8)  # a batch past memory fails here, before any draw
+    for i in range(0, size, block):
+        data[i:i + block] = np.frombuffer(rng.randbytes(min(block, size - i)), dtype=np.uint8)
+    return FixedBatch.from_limbs(precision, data.view("<u8").reshape(count, precision // 64))
 
 
 def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:

@@ -5,7 +5,8 @@ and the one sorted-gap routine: its smallest length is the batch's minimal
 pair distance, which `verify lemma12` reads.  The prediction side derives
 the admissible gap lengths of {nz}, n = 1..N, from the Ostrowski digits
 of N.  The two paths stay independent so one can verify the other.
-The lemma 9 check counts from the rotation step and builds no orbit.
+The lemma 9 check counts from the rotation step and builds no orbit, at the
+exact floor f_stat counts at; the rounded threshold_from is report-only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _lazy_module, cf as cfmod
-from .numutil import DEFAULT_PRECISION, circle_dist_raw, threshold_from
+from .numutil import (DEFAULT_PRECISION, _check_precision, _exact_threshold_numerator,
+                      _finite_fraction, circle_dist_raw)
 from .paircorr import rotation_count, sorted_raw
 from .sequences import golden_raw, resolve_z
 
@@ -181,18 +183,20 @@ def lemma9_bounds_check(l: int, N: int, s, alpha,
     """Count m != l with ||x_l - x_m|| <= s/N^alpha in the golden orbit x_n = {n phi}.
 
     There are C(l - 1) + C(N - l), for C(k) = #{1 <= d <= k : ||d phi|| <= t}
-    = (R(k + 1) - R(k)) / 2 and R(n) = rotation_count of the first n points.
+    = (R(k + 1) - R(k)) / 2 and R(n) = rotation_count of the first n points,
+    at t = floor(s 2^P / N^alpha), the exact threshold that f_stat counts at.
     The count is normalized by N^(1-alpha): the full statistic's N^(2-alpha)
     normalization includes the factor N of choices of l.
     """
     if not 1 <= l <= N:
         raise ValueError("need 1 <= l <= N")
+    _check_precision(precision)
     step, modulus = golden_raw(precision), 1 << precision
-    t = threshold_from(s, N, alpha, precision=precision).distance.value
+    s, alpha = _finite_fraction(s, "s"), _finite_fraction(alpha, "alpha")
+    t = _exact_threshold_numerator(s, N, alpha, modulus)
     count = sum(rotation_count(step, k + 1, t, modulus) - rotation_count(step, k, t, modulus)
                 for k in (l - 1, N - l)) // 2
     normalized = count / N ** (1 - float(alpha))
-    s_f = float(s)
-    lower, upper = s_f / 2, 4 * s_f
+    lower, upper = float(s) / 2, 4 * float(s)
     return Lemma9Check(l, count, normalized, lower, upper, lower < normalized < upper)
 

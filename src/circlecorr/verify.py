@@ -209,27 +209,20 @@ def suite_thm7():
     report = VerificationReport("thm7")
     hs = list(itertools.takewhile(lambda h: cfmod.fibonacci(h) <= 1.4 * 10 ** 6,
                                   itertools.count(3)))
-    bad = []
-    for h in hs:
-        res = f_stat(kronecker_orbit("golden", cfmod.fibonacci(h)), Fraction(1, 2), 1)
-        if res.ordered_pair_count != 0 or res.ambiguous_pairs != 0:
-            bad.append(h)
+    # one count per (P, h) cell, which both checks read
+    cells = {(p, h): f_stat(kronecker_orbit("golden", cfmod.fibonacci(h), precision=p),
+                            Fraction(1, 2), 1) for p in (64, 128) for h in hs}
+    nonzero = [key for key, res in cells.items() if res.ordered_pair_count + res.ambiguous_pairs]
+    bad = [h for p, h in nonzero if p == 64]
     report.add(f"F_N^1(1/2) at Fibonacci N up to {cfmod.fibonacci(hs[-1])}",
                "count 0, 0 ambiguous", f"violations at h={bad}" if bad else "all zero",
                "exact", not bad)
     # count + ambiguous is 0 only if the count at t + ceil(error) is, and that
     # bounds the count of the true golden z from above
-    uncertified = []
-    for precision in (64, 128):
-        for h in hs:
-            orbit = kronecker_orbit("golden", cfmod.fibonacci(h), precision=precision)
-            res = f_stat(orbit, Fraction(1, 2), 1)
-            if res.ordered_pair_count + res.ambiguous_pairs:
-                uncertified.append((precision, h))
     report.add("F_N^1(1/2) for the true golden z at the same N, P = 64 and 128",
                "count + ambiguous 0",
-               f"nonzero at (P, h)={uncertified}" if uncertified else "all zero",
-               "ceil(error) ulps", not uncertified)
+               f"nonzero at (P, h)={nonzero}" if nonzero else "all zero",
+               "ceil(error) ulps", not nonzero)
     orbit30 = kronecker_orbit("golden", cfmod.fibonacci(30))
     orbit15 = orbit30.prefix(cfmod.fibonacci(15))
     for alpha in (0.3, 0.5, 0.7):
@@ -447,7 +440,7 @@ def performance_check(n: int = 10 ** 7, budget_s: float = 10.0):
     z, modulus, order = orbit.step, orbit.modulus, np.argsort(orbit.raw)
     a = orbit.raw[order]  # the one sort; order maps sorted rank to orbit index
     del orbit  # frees the unsorted points
-    t = threshold_from(1, n, 0.5).distance.value
+    t = _exact_threshold_numerator(Fraction(1), n, Fraction(1, 2), modulus)
     t0 = time.perf_counter()
     count = pair_count_fast(a, t, modulus, presorted=a)
     elapsed = time.perf_counter() - t0

@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlecorr import sequences
 from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, RotationBatch, SequenceSpec,
                                   generate, golden_raw, iid_uniform, join_limbs, kronecker_orbit,
                                   resolve_z, split_limbs)
@@ -251,13 +254,24 @@ def test_iid_deterministic():
 @pytest.mark.parametrize("precision", [64, 128])
 def test_iid_draws_are_getrandbits_in_turn(precision):
     # the definition-level reference: one getrandbits(P) per point
-    import random
     for count, seed in ((0, 1), (1, 2), (1000, 3)):
         rng = random.Random(seed)
         expect = [rng.getrandbits(precision) for _ in range(count)]
         batch = iid_uniform(count, seed, precision=precision)
         assert [int(v) for v in batch.raw] == expect
         assert batch.raw.dtype == (np.uint64 if precision == 64 else object)
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_iid_draws_in_blocks_are_one_randbytes_draw(precision):
+    # 12-byte blocks split some values across two blocks; joined, they are one draw
+    width = precision // 8
+    for count, seed in ((1, 4), (3, 5), (100, 6)):
+        data = random.Random(seed).randbytes(count * width)
+        expect = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+        with mock.patch.object(sequences, "_RANDBYTES_BLOCK", 12):
+            batch = iid_uniform(count, seed, precision=precision)
+        assert [int(v) for v in batch.raw] == expect
 
 
 @given(st.lists(st.integers(0, (1 << 128) - 1), max_size=40), st.integers(0, 45))

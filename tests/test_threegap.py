@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlecorr.cf import ContinuedFraction, fibonacci
-from circlecorr.numutil import circle_dist_raw, threshold_from
+from circlecorr.numutil import _exact_threshold_numerator, circle_dist_raw
 from circlecorr.sequences import (FixedBatch, RotationBatch, SequenceSpec, generate,
-                                  kronecker_orbit)
+                                  golden_raw, kronecker_orbit)
 from circlecorr.threegap import (expected_large_gaps, gap_census, gap_classes,
                                  gap_decomposition, lemma9_bounds_check,
                                  predict_gaps)
@@ -152,18 +152,24 @@ def lemma9_cases():
                              (Fraction(1, 2), Fraction(0)), (Fraction(5), Fraction(1, 4))):
                 for l in sorted({1, n, rng.randint(1, n)}):
                     yield precision, n, l, s, alpha
+    # x = s 2^P = D -+ 1/4 for the lag-1 distance D = ||phi|| on the grid: x
+    # rounds to D either way, but the pair lies past s at D - 1/4 and within it at D + 1/4
+    for precision in (64, 128):
+        d = circle_dist_raw(golden_raw(precision), 0, 1 << precision)
+        for x4 in (4 * d - 1, 4 * d + 1):
+            yield precision, 2, 1, Fraction(x4, 1 << (precision + 2)), Fraction(0)
 
 
 @pytest.mark.parametrize("precision, n, l, s, alpha", list(lemma9_cases()))
 def test_lemma9_count_matches_all_pairs(precision, n, l, s, alpha):
     raw = [int(x) for x in kronecker_orbit("golden", n, precision=precision).raw]
-    thr = threshold_from(s, n, alpha, precision=precision)
-    t, modulus = thr.distance.value, 1 << precision
+    modulus = 1 << precision
+    t = _exact_threshold_numerator(s, n, alpha, modulus)
     expect = sum(circle_dist_raw(raw[l - 1], raw[m], modulus) <= t
                  for m in range(n) if m != l - 1)
     chk = lemma9_bounds_check(l, n, s, alpha, precision=precision)
     assert chk.count == expect
-    assert not thr.degenerate or expect == n - 1
+    assert 2 * t < modulus or expect == n - 1
 
 
 @pytest.mark.parametrize("precision", [64, 128])

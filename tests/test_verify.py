@@ -90,6 +90,26 @@ def test_oracle_counts_match_their_pinned_digest():
         assert hashlib.sha256(repr((tuples, big)).encode()).hexdigest() == ORACLE_COUNTS
 
 
+# sha256 of repr(the lemma9 suite's 60 (s, l, count) tuples), recorded while
+# lemma9_bounds_check still counted at the rounded threshold
+LEMMA9_COUNTS = "e6f23982879837c514614cf252da94e16a32ba3dc8484ae8dad2691bf55ac2f7"
+
+
+def test_lemma9_counts_match_their_pinned_digest():
+    # the suite checks only the loose bounds (s/2, 4s): a changed count passes it, not this digest
+    real, seen = verify.lemma9_bounds_check, []
+
+    def record(l, n, s, alpha):
+        chk = real(l, n, s, alpha)
+        seen.append((s, l, chk.count))
+        return chk
+
+    with mock.patch.object(verify, "lemma9_bounds_check", record):
+        assert verify.suite_lemma9().passed
+    assert len(seen) == 60
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == LEMMA9_COUNTS
+
+
 def test_random_rotation_makes_the_draws_of_one_build_per_quotient():
     # the reference builds a continued fraction after every quotient it draws
     def reference(rng, n_cap):
