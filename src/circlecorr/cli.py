@@ -8,8 +8,8 @@ the reader closes stdout early (as for a tool stopped by SIGPIPE).
 
 Each subcommand imports only what it runs: fstat paircorr, gaps threegap,
 cf and ostrowski cf, verify the suites, and the point-file forwarders pointio.
-numpy runs only once points are built: never in fstat on a rotation, cf,
-ostrowski or verify thm7.
+numpy runs only once points are built: never in fstat on a rotation or a
+van der Corput sequence, cf, ostrowski or verify thm7.
 """
 
 from __future__ import annotations
@@ -353,6 +353,9 @@ def main(argv=None) -> int:
         return 141
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower --n, or --max-points to refuse such N", file=sys.stderr)
         return 2
 
 

@@ -2,9 +2,9 @@
 
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
-batch's sorted values, in blocks of queries (_blocks), except rotation
-batches that carry their step, which f_stat counts from the step alone by
-a weighted floor sum.  A total count makes one search per point, for the
+batch's sorted values, in blocks of queries (_blocks), except that f_stat
+counts a rotation from its step and a van der Corput batch from N's digits,
+by floor sums with no points.  A total count makes one search per point, for the
 end of its forward window [x, x + t]; per-point counts search both ends.
 On the 2^128 grid the kernel searches uint64 limbs: the high limb places
 each window end, and the low limb settles it only inside a run of equal
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import _lazy_module
 from .numutil import (DEFAULT_PRECISION, Threshold, _exact_threshold_numerator, _finite_fraction,
                       threshold_from)
-from .sequences import Batch, split_limbs
+from .sequences import Batch, VdcBatch, split_limbs
 
 np = _lazy_module("numpy")
 _FULL64 = 1 << 64
@@ -248,24 +248,64 @@ def _floor_sums(a: int, b: int, c: int, n: int) -> tuple:
             h + qa * qa * s2 + qb * qb * (n + 1) + 2 * (qa * qb * s1 + qb * f + qa * g))
 
 
+def _window_sums(a: int, y: int, h: int, n: int, t: int) -> tuple:
+    """(sum W, sum i W) over i = 0 .. n of W(y + a i), for the number
+    W(x) = floor((x + t)/h) - floor((x - t - 1)/h) of multiples of h within t of x."""
+    f, g, _ = _floor_sums(a, y + t, h, n)
+    f_far, g_far, _ = _floor_sums(a, y - t - 1, h, n)
+    return f - f_far, g - g_far
+
+
 def rotation_count(step: int, n: int, t: int, modulus: int) -> int:
     """Ordered count of pairs within circle distance t among x_i = x_0 + i step mod M.
 
-    ||x_i - x_j|| = ||(i - j) z|| for z = step, and for 2t < M
-    [||d z|| <= t] = floor((d z + t)/M) - floor((d z + M - t - 1)/M) + 1, so
-    the count 2 sum_{d=1}^{n-1} (n - d) [||d z|| <= t] is two weighted floor
-    sums plus n (n - 1): O(log M) steps, with no points.  The step may be any
-    integer, since _floor_sums first reduces it mod M.  t < 0 counts 0,
-    2t >= M every pair.
+    ||x_i - x_j|| = ||(i - j) z|| for z = step, and for 2t < M a pair at lag
+    d is close iff W(d z) = 1 (_window_sums, h = M), so the count
+    2 sum_{d=1}^{n-1} (n - d) W(d z) is two weighted floor sums: O(log M)
+    steps, with no points.  The step may be any integer, since _floor_sums
+    first reduces it mod M.  t < 0 counts 0, 2t >= M every pair.
     """
     if t < 0 or n < 2:
         return 0
     if 2 * t >= modulus:
         return n * (n - 1)
-    # over d = 0 .. n - 1, sum (n - d) floor(...) = n sum f - sum d f; d = 0 adds 0
-    f, g, _ = _floor_sums(step, t, modulus, n - 1)
-    f_far, g_far, _ = _floor_sums(step, modulus - t - 1, modulus, n - 1)
-    return 2 * (n * (f - f_far) - (g - g_far)) + n * (n - 1)
+    # over d = 0 .. n - 1, sum (n - d) W = n sum W - sum d W, and d = 0 adds n
+    f, g = _window_sums(step, 0, modulus, n - 1, t)
+    return 2 * (n * f - g - n)
+
+
+def vdc_count(base: int, first: int, n: int, t: int, modulus: int) -> int:
+    """Ordered count of pairs within circle distance t among the van der Corput
+    points of the indices first .. first+n-1 (first 0 or 1), over M = b^K.
+
+    Position k of the base-b digits d_k of n' = first + n holds d_k blocks of
+    b^k indices, block c the grid of step H = M/b^k shifted by S_k + c u, for
+    u = H/b and S_k = sum_{j>k} d_j u_j < u.  With W of _window_sums (h = H),
+    position k holds b^k (2 sum_{D<d_k} (d_k - D) W(D u) - d_k W(0)) pairs, and
+    2 d_l b^l sum_{c<d_k} W(S_l - S_k - c u) with each coarser l < k; less the
+    n' self-pairs and, for first = 1, the pairs of the point 0, that is
+    O(K^2 log M) steps of floor sums, with no points.  t < 0 counts 0, 2t >= M
+    every pair.
+    """
+    if t < 0 or n < 2:
+        return 0
+    if 2 * t >= modulus:
+        return n * (n - 1)
+    total, finer, shift, width = first - n, [], 0, modulus  # -n' self-pairs, +2 if first
+    while width:  # width = b^k for each position k from K down; shift = S_k
+        d, h = (first + n) // width % base, modulus // width
+        u = h // base  # 0 only at k = K, where n' = M is the one digit d_K = 1
+        if d:
+            f, g = _window_sums(u, 0, h, d - 1, t)
+            total += width * (2 * (d * f - g) - d * (2 * (t // h) + 1))
+            for d_k, h_k, u_k, s_k in finer:  # this position against each finer one
+                total += 2 * d * width * _window_sums(-u_k, shift - s_k, h_k, d_k - 1, t)[0]
+            finer.append((d, h, u, shift))
+        shift += d * u
+        width //= base
+    for d_k, h_k, u_k, s_k in finer * first:  # 0's w points within t: -2 w, with the +2 above
+        total -= 2 * _window_sums(-u_k, -s_k, h_k, d_k - 1, t)[0]
+    return total
 
 
 def sorted_raw(points):
@@ -342,10 +382,10 @@ def f_stat(points, s, alpha) -> PairCountResult:
     g = ceil(points.error), the batch's bound on a pair distance's error,
     count(t - g) <= true count <= count(t + g), and the ambiguous pairs are
     count(t + g) - count(t - g): none when g = 0, which takes one pass.  A
-    rotation batch, which carries its step (every Kronecker batch built by
-    sequences does), is counted from that step by rotation_count, with no
-    pass over the points; every other batch by the window kernel.  The
-    reported threshold is s/N^alpha rounded to the 2^-P grid (P = 64 for
+    rotation batch (every Kronecker batch built by sequences) is counted from
+    its step by rotation_count, a VdcBatch from N's digits by vdc_count, both
+    with no pass over the points, and every other batch by the window kernel.
+    The reported threshold is s/N^alpha rounded to the 2^-P grid (P = 64 for
     exact batches); it decides no count.
     """
     n = points.size
@@ -357,10 +397,12 @@ def f_stat(points, s, alpha) -> PairCountResult:
     t = _exact_threshold_numerator(s_f, n, alpha_f, modulus)
     if 2 * t >= modulus:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
-    if points.step is None:
-        count = functools.partial(_ordered_count, _sorted_keys(points), modulus=modulus)
-    else:
+    if points.step is not None:
         count = functools.partial(rotation_count, points.step, n, modulus=modulus)
+    elif isinstance(points, VdcBatch):
+        count = functools.partial(vdc_count, points.base, points.first, n, modulus=modulus)
+    else:
+        count = functools.partial(_ordered_count, _sorted_keys(points), modulus=modulus)
     g = math.ceil(points.error)
     ambiguous = count(t + g) - count(t - g) if g else 0
     return PairCountResult(n, float(alpha), float(s), thr, count(t), ambiguous)

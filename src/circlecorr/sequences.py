@@ -226,19 +226,26 @@ def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatc
     return FixedBatch.from_limbs(precision, data.view("<u8").reshape(count, precision // 64))
 
 
-def _vdc_batch(base: int, N: int, include_zero: bool, precision: int) -> Batch:
-    start = 0 if include_zero else 1
-    k, top = 0, start + N - 1
-    while top:  # k = the number of base-b digits of the largest index
-        k, top = k + 1, top // base
-    # reverse the k base-b digits of every index at once, lowest digit first
-    n = np.arange(start, start + N, dtype=np.uint64 if base ** k < _U64_LIMIT else object)
-    nums = np.zeros_like(n)
-    for _ in range(k):
-        nums = nums * base + n % base
-        n = n // base
-    batch = RationalBatch(base, k, nums)
-    return batch if batch.modulus <= EXACT_DENOM_CAP else batch.to_fixed(precision)
+class VdcBatch(RationalBatch):
+    """van der Corput points phi_b(n), n = first .. first+N-1, over b^k (k digits in the
+    last index), built only when read: paircorr.vdc_count counts them from N's digits."""
+
+    def __init__(self, base: int, first: int, n: int):
+        k, top = 0, first + n - 1
+        while top:  # k = the number of base-b digits of the largest index
+            k, top = k + 1, top // base
+        super().__init__(base, k, None)
+        self.first, self.size = first, n
+
+    def _build(self) -> np.ndarray:
+        # reverse the k base-b digits of every index at once, lowest digit first
+        n = np.arange(self.first, self.first + self.size,
+                      dtype=np.uint64 if self.modulus < _U64_LIMIT else object)
+        nums = np.zeros_like(n)
+        for _ in range(self.exponent):
+            nums = nums * self.base + n % self.base
+            n = n // self.base
+        return np.asarray(nums, dtype=np.uint64 if self.modulus <= _U64_LIMIT else object)
 
 
 class RotationBatch(FixedBatch):
@@ -271,17 +278,18 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     """First N points of the family described by spec.
 
     For vdc the batch is exact over the common denominator b^k (k = digits
-    of the largest index) unless b^k exceeds the exact-mode cap, in which
-    case a fixed-point batch is returned instead.  `start` offsets the
-    index range: kronecker gives n = start .. start+N-1, sqrt_frac
-    n = start+1 .. start+N; vdc and iid take none.
+    of the largest index) and built only when read, unless b^k exceeds the
+    exact-mode cap, in which case a fixed-point batch is returned instead.
+    `start` offsets the index range: kronecker gives n = start .. start+N-1,
+    sqrt_frac n = start+1 .. start+N; vdc and iid take none.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if start and spec.kind in ("vdc", "iid"):
         raise ValueError(f"{spec.kind} takes no start index, got {start}")
     if spec.kind == "vdc":
-        return _vdc_batch(spec.base, N, spec.include_zero, spec.precision)
+        batch = VdcBatch(spec.base, int(not spec.include_zero), N)
+        return batch if batch.modulus <= EXACT_DENOM_CAP else batch.to_fixed(spec.precision)
     if spec.kind == "kronecker":
         return kronecker_orbit(spec.z_spec, N, spec.precision, first=start)
     if spec.kind == "sqrt_frac":

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import _lazy_module, cf as cfmod
 from .numutil import _exact_threshold_numerator, threshold_from
 from .paircorr import (f_stat, f_stat_profile, pair_count_fast, pair_count_naive,
-                       per_point_counts, rotation_count)
+                       per_point_counts, rotation_count, vdc_count)
 from .sequences import FixedBatch, SequenceSpec, generate, iid_uniform, kronecker_orbit
 from .threegap import (expected_large_gaps, gap_census, gap_classes,
                        lemma9_bounds_check, predict_gaps)
@@ -104,28 +104,31 @@ def _oracle_orbits(rng):
 def suite_oracle(trials: int = 500, max_n: int = 2000, seed: int = 20260823):
     """pair_count_fast == pair_count_naive on randomized mixed batches.
 
-    Every kronecker trial must also carry its step, and the floor sum
-    rotation_count from that step must equal the naive count; at 10^6
-    points, out of the naive count's reach, the floor sum must equal the
-    window kernel on rotation orbits.
+    Every kronecker trial must also carry its step, and the floor sums
+    rotation_count and vdc_count must equal the naive count on the kronecker
+    and vdc trials; at 10^6 points, out of the naive count's reach, the floor
+    sum must equal the window kernel on rotation orbits.
     """
     rng = random.Random(seed)
     report = VerificationReport("oracle")
     mismatches = []
-    rotation_mismatches = []
+    by_family = {"kronecker": [], "vdc": []}  # each family's count from no points, against naive
     for kind, n, batch, t in _oracle_trials(rng, trials, max_n):
         naive = pair_count_naive(batch, t)
         if pair_count_fast(batch, t) != naive:
             mismatches.append((kind, n, t))
         if kind == "kronecker" and (
                 batch.step is None or rotation_count(batch.step, n, t, batch.modulus) != naive):
-            rotation_mismatches.append((n, t))
+            by_family[kind].append((n, t))
+        if kind == "vdc" and vdc_count(batch.base, batch.first, n, t, batch.modulus) != naive:
+            by_family[kind].append((n, t))
     report.add(f"fast == naive over {trials} random batches (N <= {max_n})",
                "0 mismatches", f"{len(mismatches)} mismatches", "exact",
                not mismatches)
-    report.add("kronecker batches among them: floor sum from the step == naive",
-               "0 mismatches", f"{len(rotation_mismatches)} mismatches", "exact",
-               not rotation_mismatches)
+    for kind, route in (("kronecker", "floor sum from the step"),
+                        ("vdc", "digit count from N's base-b digits")):
+        report.add(f"{kind} batches among them: {route} == naive", "0 mismatches",
+                   f"{len(by_family[kind])} mismatches", "exact", not by_family[kind])
     # at production N the naive matrix is out of reach: the window kernel
     # and the floor sum check each other
     big_mismatches = []

@@ -497,6 +497,15 @@ def test_fstat_caps_the_points_it_builds_but_not_a_rotation(capsys):
     assert code == 2 and out == "" and "cap" in err
 
 
+def test_running_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    def exhausted(*_):
+        raise MemoryError
+    monkeypatch.setattr(cli, "generate", exhausted)
+    code, out, err = run_cli(["gen", "--seq", "iid", "--n", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--n" in err and "--max-points" in err
+
+
 def test_fstat_on_a_rotation_of_any_size_ends_without_a_traceback(capsys):
     # N past 2^63 is no len(); N past 10^2150 has counts longer than Python prints
     code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", str(10 ** 30),
@@ -691,11 +700,12 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
 def test_only_commands_that_build_points_execute_numpy(tmp_path):
     for argv in ("fstat --seq kronecker --n 100000,1000000 --alpha 0.5,0.9 --s 1 --out k.csv",
                  "fstat --seq kronecker --precision 128 --n 987,3000 --alpha 0.5,1 --out k.csv",
+                 "fstat --seq vdc --n 100 --out v.csv",
                  "cf golden --out c.csv", "cf 355/113 --out c.csv", "ostrowski 1000 --out o.csv",
                  "verify thm7 --out r.txt"):
         assert "numpy" not in modules_after(argv.split(), tmp_path), argv
-    for argv in ("gen --n 100 --out F", "fstat --seq vdc --n 100 --out v.csv",
-                 "fstat --points F --n 100 --out f.csv", "gaps --n 100 --out g.csv"):
+    for argv in ("gen --n 100 --out F", "fstat --points F --n 100 --out f.csv",
+                 "gaps --n 100 --out g.csv"):
         assert "numpy" in modules_after(argv.split(), tmp_path), argv
 
 

@@ -16,7 +16,7 @@ from circlecorr import numutil, paircorr
 from circlecorr.numutil import circle_dist_raw
 from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
                                  pair_count_fast, pair_count_naive,
-                                 per_point_counts, rotation_count, sorted_raw)
+                                 per_point_counts, rotation_count, sorted_raw, vdc_count)
 from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, SequenceSpec, generate,
                                   iid_uniform, kronecker_orbit)
 
@@ -1064,3 +1064,50 @@ def test_file_read_rotation_orbits_are_progressions():
             read, made = f_stat(batch, s, alpha), f_stat(orbit, s, alpha)
             assert (read.ordered_pair_count, read.ambiguous_pairs) == \
                 (made.ordered_pair_count, made.ambiguous_pairs)
+
+
+# --- van der Corput batches: the digit count against built points ----------
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10])
+def test_vdc_count_equals_the_window_kernel_off_the_lattice(base):
+    # one build per base; a prefix keeps the modulus b^K of the whole batch.
+    # Without the point 0, the unique minimum, a count loses the pairs of 0
+    # and its w - 1 other neighbours within t, read off the built points
+    batch = generate(SequenceSpec("vdc", base=base), 2012345)
+    modulus = batch.modulus
+    for n in (100001, 999999, 2012345):
+        a = batch.prefix(n).sorted()
+        for t in (modulus // n, modulus // math.isqrt(n)):
+            count = pair_count_fast(a, t, modulus, presorted=a)
+            assert vdc_count(base, 0, n, t, modulus) == count
+            w = np.count_nonzero((a <= t) | (a >= modulus - t))
+            assert vdc_count(base, 1, n - 1, t, modulus) == count - 2 * (w - 1)
+
+
+def test_vdc_count_equals_the_naive_count_on_prefixes():
+    rng = random.Random(24)
+    for base in (2, 3, 5, 10, 16, 1000):
+        for include_zero in (True, False):
+            batch = generate(SequenceSpec("vdc", base=base, include_zero=include_zero),
+                             rng.randint(2, 300))
+            modulus = batch.modulus
+            for n in (2, rng.randint(2, batch.size), batch.size):
+                prefix = batch.prefix(n)
+                for t in (0, 1, modulus // 2 - 1, modulus // 2):
+                    assert vdc_count(base, batch.first, n, t, modulus) == \
+                        pair_count_naive(prefix, t)
+                assert f_stat(prefix, 1, 0.5).ordered_pair_count == pair_count_naive(
+                    prefix, numutil._exact_threshold_numerator(1, n, Fraction(1, 2), modulus))
+
+
+def test_vdc_count_at_base_2_60_builds_no_points():
+    # below 2^60 every index is one digit: the points are i / 2^60, and pairs
+    # within t = 1000 are those at lags d <= 1000, (N - d) of each in both orders
+    n = 2 ** 27
+    batch = generate(SequenceSpec("vdc", base=2 ** 60), n)
+    start = time.perf_counter()
+    assert f_stat(batch, 1, 1).ordered_pair_count == n * (n - 1)
+    assert vdc_count(2 ** 60, 0, n, 1000, batch.modulus) == 2 * sum(n - d for d in range(1, 1001))
+    assert time.perf_counter() - start < 0.1
+    assert batch._raw is None

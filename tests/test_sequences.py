@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from circlecorr import sequences
 from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, RotationBatch, SequenceSpec,
-                                  generate, golden_raw, iid_uniform, join_limbs, kronecker_orbit,
-                                  resolve_z, split_limbs)
+                                  VdcBatch, generate, golden_raw, iid_uniform, join_limbs,
+                                  kronecker_orbit, resolve_z, split_limbs)
 
 M64 = 1 << 64
 
@@ -304,6 +304,22 @@ def test_generate_vdc_stays_exact():
     odd = generate(SequenceSpec("vdc", base=2), (1 << 10) + 1)
     assert isinstance(odd, RationalBatch)
     assert odd.modulus == 1 << 11
+
+
+@pytest.mark.parametrize("base", [3, 2 ** 32, 2 ** 64])
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_a_vdc_prefix_builds_the_digit_reversal_of_its_parent(base, include_zero):
+    # a prefix keeps the parent's modulus b^K: its points are the radical
+    # inverses of its indices over K digits, built only when raw is read
+    parent = generate(SequenceSpec("vdc", base=base, include_zero=include_zero), 100)
+    assert isinstance(parent, VdcBatch) and parent._raw is None
+    head = parent.prefix(30)
+    assert head._raw is None and head.modulus == parent.modulus
+    start = 0 if include_zero else 1
+    assert [Fraction(int(v), head.modulus) for v in head.raw] == \
+        [vdc(n, base) for n in range(start, start + 30)]
+    assert parent._raw is None
+    assert head.raw.dtype == parent.raw.dtype and list(head.raw) == list(parent.raw[:30])
 
 
 def test_generate_vdc_skip_zero():
