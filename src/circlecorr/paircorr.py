@@ -361,14 +361,21 @@ class PairCountResult:
 
     @property
     def f_value(self) -> float:
-        """count / N^(2 - alpha): 0.0 where that underflows, inf where it overflows."""
+        """count / N^(2 - alpha): 0.0 where that ratio underflows, inf where it overflows.
+
+        Where the count or N^(2 - alpha) leaves the float range, the ratio is
+        taken at extended precision instead.
+        """
         try:
             scale = self.n ** (2 - self.alpha)
-        except OverflowError:  # N^(2 - alpha) is past the float range
-            return 0.0
-        if scale == 0:  # N^(2 - alpha) underflowed
-            return math.inf if self.ordered_pair_count else 0.0
-        return self.ordered_pair_count / scale
+            if scale:  # else N^(2 - alpha) underflowed
+                return self.ordered_pair_count / scale
+        except OverflowError:  # the count or N^(2 - alpha) is past the float range
+            pass
+        import mpmath  # only a ratio of operands past the float range needs it
+        with mpmath.workprec(64):
+            scale = mpmath.mpf(self.n) ** (2 - mpmath.mpf(self.alpha))
+            return float(self.ordered_pair_count / scale)
 
 
 def f_stat(points, s, alpha) -> PairCountResult:

@@ -23,9 +23,6 @@ np = _lazy_module("numpy")
 _GOLDEN_BITS = 192
 _GOLDEN_FRAC_192 = (math.isqrt(5 << (2 * _GOLDEN_BITS)) - (1 << _GOLDEN_BITS)) // 2
 
-# exact vdc batches keep a common denominator b^k up to this bound
-EXACT_DENOM_CAP = 1 << 120
-
 _U64_LIMIT = 1 << 64
 _MASK64 = _U64_LIMIT - 1
 _LIMB_BLOCK = 1 << 12  # values split or joined at once, which bounds the temporaries
@@ -278,8 +275,7 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     """First N points of the family described by spec.
 
     For vdc the batch is exact over the common denominator b^k (k = digits
-    of the largest index) and built only when read, unless b^k exceeds the
-    exact-mode cap, in which case a fixed-point batch is returned instead.
+    of the largest index) in every base, and built only when read.
     `start` offsets the index range: kronecker gives n = start .. start+N-1,
     sqrt_frac n = start+1 .. start+N; vdc and iid take none.
     """
@@ -288,8 +284,7 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if start and spec.kind in ("vdc", "iid"):
         raise ValueError(f"{spec.kind} takes no start index, got {start}")
     if spec.kind == "vdc":
-        batch = VdcBatch(spec.base, int(not spec.include_zero), N)
-        return batch if batch.modulus <= EXACT_DENOM_CAP else batch.to_fixed(spec.precision)
+        return VdcBatch(spec.base, int(not spec.include_zero), N)
     if spec.kind == "kronecker":
         return kronecker_orbit(spec.z_spec, N, spec.precision, first=start)
     if spec.kind == "sqrt_frac":

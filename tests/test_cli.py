@@ -286,6 +286,22 @@ def test_fstat_vdc_bound(capsys):
     assert 2 - 2 / 32 <= f_value <= 2
 
 
+def test_fstat_vdc_counts_any_base_exactly_from_digits(capsys):
+    # b = 2^130: the N = 100 points n/2^130 lie within 99/2^130 < 10^-37 of
+    # each other, so all 9900 pairs count, with no bracket and no warning
+    code, out, err = run_cli(["fstat", "--seq", "vdc", "--base", str(2 ** 130), "--n", "100",
+                              "--alpha", "0", "--s", "1e-37"], capsys)
+    assert code == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert (row[6], row[9]) == ("9900", "0")
+    # b = 2^61, N = 2^62: counted from N's digits, with no point built
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fstat", "--seq", "vdc", "--base", str(2 ** 61), "--n", str(2 ** 62),
+                            "--max-points", str(2 ** 63), "--alpha", "0.5,1"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_fstat_vdc_float_alpha_is_fast(capsys):
     # the decimal 0.3333333333333333 is read as 3333333333333333/10^16, so the
     # exact threshold may not cost O(alpha's denominator)
@@ -511,6 +527,11 @@ def test_fstat_on_a_rotation_of_any_size_ends_without_a_traceback(capsys):
     code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", str(10 ** 30),
                             "--alpha", "0.5,1"], capsys)
     assert code == 0 and len(out.splitlines()) == 3
+    # at N = 10^250, N^1.5 and the counts are past the float range, but each F is not
+    code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", str(10 ** 250),
+                            "--alpha", "0.5,1"], capsys)
+    assert code == 0
+    assert all(0 < float(row.split(",")[7]) < math.inf for row in out.splitlines()[1:3])
     start = time.perf_counter()
     code, out, err = run_cli(["fstat", "--seq", "kronecker", "--n", str(10 ** 3999)], capsys)
     assert time.perf_counter() - start < 2
@@ -701,6 +722,7 @@ def test_only_commands_that_build_points_execute_numpy(tmp_path):
     for argv in ("fstat --seq kronecker --n 100000,1000000 --alpha 0.5,0.9 --s 1 --out k.csv",
                  "fstat --seq kronecker --precision 128 --n 987,3000 --alpha 0.5,1 --out k.csv",
                  "fstat --seq vdc --n 100 --out v.csv",
+                 f"fstat --seq vdc --base {2 ** 130} --n 100 --out v.csv",
                  "cf golden --out c.csv", "cf 355/113 --out c.csv", "ostrowski 1000 --out o.csv",
                  "verify thm7 --out r.txt"):
         assert "numpy" not in modules_after(argv.split(), tmp_path), argv
@@ -784,6 +806,12 @@ OUTPUT_DIGESTS = {
         "b8b88bcea097b21ed4cd27071eac23562469d93459c56a435aa4544600acf9d9"),
     "gen-vdc3-128-csv": ("gen --seq vdc --base 3 --precision 128 --n 500",
         "a53d0b9405681ed5bd759bb558472903384f0a14ca0083cf9a98a98de6a5f339"),
+    # b^K above 2^120, recorded while generate still rounded such batches to the grid
+    "gen-vdc-2pow130-csv": (f"gen --seq vdc --base {2 ** 130} --n 50",
+        "85623d86b6428613dfed7df417f0b67595b5532e0c6aad50141f6dcb9490b5b5"),
+    "gen-vdc-10pow39-128-bin": (f"gen --seq vdc --base {10 ** 39 + 1} --precision 128 --n 500 "
+                               "--skip-zero --binary",
+        "8c834dc8727cc7ffba4fa2f5591dfb06b314873b27e724fc8db24fbbc4bf7214"),
     # recorded before the golden Ostrowski ladder was built in one pass
     "cf-golden-csv": ("cf golden --terms 40",
         "a245bf7af549ad1402707206b4d1fe79217eec236f79ed76a7ec62a1eadd613a"),

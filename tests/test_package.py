@@ -29,10 +29,12 @@ def test_names_import_their_module_on_first_access():
 
 
 def unused_definitions(package_dir, exempt):
-    """(module, name) of each non-dunder def or class in package_dir/*.py read nowhere else.
+    """(module, name) of each non-dunder def, class or module-level constant in
+    package_dir/*.py read nowhere else.
 
     A read is a loaded name or attribute anywhere in the package, outside the
-    definition's own body; imports and string literals do not count.
+    definition's own body (a constant's own assignment); imports and string
+    literals do not count.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))}
 
@@ -41,12 +43,24 @@ def unused_definitions(package_dir, exempt):
             node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
 
+    def definitions(tree):
+        """(name, defining node) of each def, class and module-level assigned name."""
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name, node
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, node
+
     everywhere = sum((reads(tree) for tree in trees.values()), collections.Counter())
-    return [(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in exempt
-            and everywhere[node.name] == reads(node)[node.name]]
+    return [(module, name) for module, tree in trees.items() for name, node in definitions(tree)
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in exempt
+            and everywhere[name] == reads(node)[name]]
 
 
 def test_nothing_in_src_is_reached_only_by_tests():

@@ -566,6 +566,20 @@ def test_f_value_never_raises():
     assert f(10, 1000, 400.0) == math.inf
 
 
+def test_f_value_of_operands_past_the_float_range():
+    # N^1.5 overflows for N = 10^300, and the golden count at N = 10^250 is past
+    # the float range, while each ratio is not: both against a 50-digit reference
+    vdc = f_stat(generate(SequenceSpec("vdc", base=10), 10 ** 300), 1, Fraction(1, 2))
+    assert vdc.ordered_pair_count == 2 * 10 ** 450  # N min(2 floor(tN), N - 1) on {j/N}
+    golden = f_stat(kronecker_orbit("golden", 10 ** 250), 1, 1)
+    assert golden.ordered_pair_count > 10 ** 309
+    for res in (vdc, golden):
+        with mpmath.workdps(50):
+            reference = res.ordered_pair_count / mpmath.mpf(res.n) ** (2 - mpmath.mpf(res.alpha))
+        assert math.isfinite(res.f_value)
+        assert abs(res.f_value - reference) <= 1e-12 * reference
+
+
 def test_f_stat_rejects_tiny_batches():
     with pytest.raises(ValueError):
         f_stat(iid_uniform(1, seed=0), 1, 1)
@@ -1099,6 +1113,20 @@ def test_vdc_count_equals_the_naive_count_on_prefixes():
                         pair_count_naive(prefix, t)
                 assert f_stat(prefix, 1, 0.5).ordered_pair_count == pair_count_naive(
                     prefix, numutil._exact_threshold_numerator(1, n, Fraction(1, 2), modulus))
+
+
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_f_stat_counts_vdc_above_2_120_exactly(include_zero):
+    # b^K = 2^130: the exact points n/2^130 carry no error, so the count has no
+    # bracket, at thresholds of 16 and 136 ulps and where every pair is close
+    spec = SequenceSpec("vdc", base=2 ** 130, include_zero=include_zero)
+    for n in (2, 100, 300):
+        batch = generate(spec, n)
+        for s, alpha in ((Fraction(1, 2 ** 126), 0), (Fraction(1, 10 ** 37), 0), (1, 1)):
+            res = f_stat(batch, s, alpha)
+            assert res.ambiguous_pairs == 0 and batch._raw is None
+            t = numutil._exact_threshold_numerator(s, n, Fraction(alpha), batch.modulus)
+            assert res.ordered_pair_count == pair_count_naive(generate(spec, n), t)
 
 
 def test_vdc_count_at_base_2_60_builds_no_points():

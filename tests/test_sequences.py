@@ -74,7 +74,7 @@ def test_each_family_carries_its_point_error(precision):
     half, spec = Fraction(1, 2), SequenceSpec("vdc", base=3, precision=precision)
     assert generate(spec, 10).error == 0  # exact rationals
     assert generate(spec, 10).to_fixed(precision).error == 1  # each point within 1/2 ulp
-    assert generate(SequenceSpec("vdc", base=10 ** 40, precision=precision), 10).error == 1
+    assert generate(SequenceSpec("vdc", base=10 ** 40, precision=precision), 10).error == 0
     assert generate(SequenceSpec("sqrt_frac", precision=precision), 10).error == 1  # floored
     assert generate(SequenceSpec("iid", precision=precision), 10).error == 0
     assert FixedBatch(precision, [1, 2]).error == 0
@@ -297,13 +297,16 @@ def test_generate_prefix_consistency():
 
 
 def test_generate_vdc_stays_exact():
-    # the common denominator b^k tracks N, far below the exact-mode cap
+    # the common denominator b^k tracks N, in every base
     small = generate(SequenceSpec("vdc", base=2), 1 << 10)
     assert isinstance(small, RationalBatch)
     assert small.modulus == 1 << 10
     odd = generate(SequenceSpec("vdc", base=2), (1 << 10) + 1)
     assert isinstance(odd, RationalBatch)
     assert odd.modulus == 1 << 11
+    for base in (2 ** 130, 10 ** 39 + 1):
+        huge = generate(SequenceSpec("vdc", base=base), 10)
+        assert isinstance(huge, VdcBatch) and huge.error == 0 and huge.modulus == base
 
 
 @pytest.mark.parametrize("base", [3, 2 ** 32, 2 ** 64])

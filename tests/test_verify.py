@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
+
+import pytest
 
 from circlecorr import verify
 from circlecorr.cf import ContinuedFraction
-from circlecorr.paircorr import pair_count_fast, pair_count_naive
+from circlecorr.paircorr import f_stat, pair_count_fast, pair_count_naive
+from circlecorr.sequences import SequenceSpec, generate
 
 GRID = "closed form"
 
@@ -37,6 +42,44 @@ def test_thm6_closed_form_fails_on_a_count_off_by_two():
     grid = next(c for c in report.checks if GRID in c.description)
     assert not grid.passed and grid.observed == "1 mismatches"
     assert not report.passed
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)])
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_thm6_bracket_holds_at_any_rational_alpha(base, alpha):
+    # N = base^(q k) >= 4096 is a q-th power for alpha = p/q, so the reference
+    # takes N^(2 - alpha) = N^2 / root^p and N^(alpha - 1) = root^p / N as Fractions
+    p, q = alpha.numerator, alpha.denominator
+    k = next(k for k in range(1, 99) if base ** (q * k) >= 4096)
+    n, root = base ** (q * k), base ** k
+    for s in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        def reference(count):
+            f_value = Fraction(count * root ** p, n ** 2)
+            return 2 * s - Fraction(2 * root ** p, n) <= f_value <= 2 * s
+
+        count = f_stat(generate(SequenceSpec("vdc", base=base), n), s, alpha).ordered_pair_count
+        top = math.floor(2 * s * Fraction(n ** 2, root ** p))  # the largest count 2s admits
+        for c in (count, count + 2 * n + 1, top, top + 1, top - 2 * n, top - 2 * n - 1):
+            assert verify._thm6_bounds_hold(c, n, s, alpha) == reference(c), c
+        assert reference(count) and not reference(top + 1)
+
+
+def test_threegap_fails_a_third_length_off_the_sum_of_the_other_two():
+    # three lengths on the grid obey L3 = L1 + L2 exactly, so a longest length
+    # 1 ulp off fails, though it stays within the 1-ulp slack of the prediction
+    real = verify.gap_census
+
+    def longest_plus_one(points):
+        census = real(points)
+        if len(census.entries) == 3:
+            length, mult = census.entries[2]
+            census = dataclasses.replace(census, entries=census.entries[:2] + [(length + 1, mult)])
+        return census
+
+    with mock.patch.object(verify, "gap_census", longest_plus_one):
+        report = verify.suite_threegap(trials=20)
+    assert [c.passed for c in report.checks] == [False, True]
+    assert report.checks[0].observed == "20 violations"
 
 
 CERTIFICATE = "true golden z"
