@@ -176,7 +176,7 @@ def cmd_fstat(args):
     if n_list[-1] > FSTAT_MAX_N:
         raise UsageError("N above 10^2150 has pair counts longer than the 4300 digits "
                          "Python prints")
-    if args.points or args.seq != "kronecker":  # a rotation is counted from its step
+    if args.points or args.seq not in ("kronecker", "vdc"):  # both are counted with no points
         _check_cap(n_list[-1], args.max_points)
     if args.points:
         binary = args.points_format == "binary"

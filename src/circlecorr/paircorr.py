@@ -281,30 +281,29 @@ def vdc_count(base: int, first: int, n: int, t: int, modulus: int) -> int:
     Position k of the base-b digits d_k of n' = first + n holds d_k blocks of
     b^k indices, block c the grid of step H = M/b^k shifted by S_k + c u, for
     u = H/b and S_k = sum_{j>k} d_j u_j < u.  With W of _window_sums (h = H),
-    position k holds b^k (2 sum_{D<d_k} (d_k - D) W(D u) - d_k W(0)) pairs, and
-    2 d_l b^l sum_{c<d_k} W(S_l - S_k - c u) with each coarser l < k; less the
-    n' self-pairs and, for first = 1, the pairs of the point 0, that is
-    O(K^2 log M) steps of floor sums, with no points.  t < 0 counts 0, 2t >= M
+    position k holds b^k (2 sum_{D<=d_k} (d_k - D) W(D u) - d_k W(0)) pairs.
+    Every point of a coarser position l < k lies at S_k + d_k u mod H, so the
+    n' mod b^k of them meet position k in 2 sum_{1<=D<=d_k} W(D u) pairs each;
+    less the n' self-pairs and, for first = 1, the pairs of the point 0, that
+    is O(K log M) steps of floor sums, with no points.  t < 0 counts 0, 2t >= M
     every pair.
     """
     if t < 0 or n < 2:
         return 0
     if 2 * t >= modulus:
         return n * (n - 1)
-    total, finer, shift, width = first - n, [], 0, modulus  # -n' self-pairs, +2 if first
+    total, shift, width = first - n, 0, modulus  # -n' self-pairs, +2 if first
     while width:  # width = b^k for each position k from K down; shift = S_k
         d, h = (first + n) // width % base, modulus // width
         u = h // base  # 0 only at k = K, where n' = M is the one digit d_K = 1
         if d:
-            f, g = _window_sums(u, 0, h, d - 1, t)
-            total += width * (2 * (d * f - g) - d * (2 * (t // h) + 1))
-            for d_k, h_k, u_k, s_k in finer:  # this position against each finer one
-                total += 2 * d * width * _window_sums(-u_k, shift - s_k, h_k, d_k - 1, t)[0]
-            finer.append((d, h, u, shift))
+            f, g = _window_sums(u, 0, h, d, t)
+            here = 2 * (t // h) + 1  # W(0)
+            total += width * (2 * (d * f - g) - d * here) + 2 * ((first + n) % width) * (f - here)
+            if first:  # 0's w points within t at this position: -2 w, with the +2 above
+                total -= 2 * _window_sums(-u, -shift, h, d - 1, t)[0]
         shift += d * u
         width //= base
-    for d_k, h_k, u_k, s_k in finer * first:  # 0's w points within t: -2 w, with the +2 above
-        total -= 2 * _window_sums(-u_k, -s_k, h_k, d_k - 1, t)[0]
     return total
 
 
@@ -392,8 +391,8 @@ def f_stat(points, s, alpha) -> PairCountResult:
     rotation batch (every Kronecker batch built by sequences) is counted from
     its step by rotation_count, a VdcBatch from N's digits by vdc_count, both
     with no pass over the points, and every other batch by the window kernel.
-    The reported threshold is s/N^alpha rounded to the 2^-P grid (P = 64 for
-    exact batches); it decides no count.
+    The reported threshold is s/N^alpha rounded to the 2^-P grid of the batch's
+    precision (P = 64 without one); it decides no count.
     """
     n = points.size
     if n < 2:

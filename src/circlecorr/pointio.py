@@ -148,10 +148,12 @@ def _parse_block(lines, first: int, precision: int) -> np.ndarray:
     ours = (chars[:, 0] == _ZERO_CHAR) & ((count == -1) | (chars[:, 1] == _DOT) & (
         count <= _READ_DIGITS) & (digits < 10).all(axis=1))
     digits[~ours] = 0
-    # m < 10^27 < 2^90, the point m / 10^27, from three 9-digit chunks (their
-    # sums stay below 2^53, so float64 holds them exactly)
-    chunks = (digits.reshape(-1, 9).astype(np.float64) @ _POW10[8::-1].astype(np.float64)
-              ).astype(np.uint64).reshape(-1, 3)
+    # m < 10^27 < 2^90, the point m / 10^27, from three 9-digit chunks, each
+    # summed digit by digit, exactly, in uint32 (a chunk stays below 10^9 < 2^32)
+    chunks = np.zeros(3 * len(digits), dtype=np.uint32)
+    for column in digits.reshape(-1, 9).T:
+        chunks = chunks * 10 + column
+    chunks = chunks.astype(np.uint64).reshape(-1, 3)
     limbs = [chunks[:, 0], np.zeros_like(chunks[:, 0]), np.zeros_like(chunks[:, 0])]
     _mul_small(limbs, 10 ** 9, chunks[:, 1])
     _mul_small(limbs, 10 ** 9, chunks[:, 2])

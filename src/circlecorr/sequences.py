@@ -114,6 +114,8 @@ class Batch:
     are not modified after construction, so the sorted views stay valid.
     A batch given in a compact form (the (high, low) limbs of ``split()``,
     or a rotation step) builds ``raw`` by ``_build`` only when it is read.
+    Its sorted views sort a fresh build in place and keep only the sorted
+    copy, so a sort never holds the unsorted points as well.
     ``size`` is the number of points; len() holds it only below 2^63.
     """
 
@@ -141,7 +143,8 @@ class Batch:
 
     def sorted(self) -> np.ndarray:
         if self._sorted is None:
-            self._sorted = np.sort(self.raw)
+            self._sorted = self._build() if self._raw is None else self._raw.copy()
+            self._sorted.sort()
         return self._sorted
 
     def split(self) -> tuple:
@@ -153,12 +156,21 @@ class Batch:
     def limbs(self) -> tuple:
         """The sorted values as (high, low) uint64 limbs, for values below 2^128.
 
-        Sorted once per batch, with no sort of Python ints.
+        Sorted once per batch, by the high limb and then by the low limb
+        only inside runs of equal high limbs, with no sort of Python ints.
+        Limbs that are not yet split are split from a fresh copy and not kept.
         """
         if self._limbs is None:
-            high, low = self.split()
-            order = np.lexsort((low, high))
-            self._limbs = high[order], low[order]
+            high, low = self._split or split_limbs(self._build() if self._raw is None
+                                                   else self._raw)
+            order = np.argsort(high)
+            high, low = high[order], low[order]
+            tied = np.zeros(len(high) + 1, dtype=bool)  # tied[i]: high[i - 1] == high[i]
+            np.equal(high[1:], high[:-1], out=tied[1:-1])
+            tied = np.flatnonzero(tied[1:] | tied[:-1])  # every position in a run of ties
+            # the runs of equal high limbs keep their high limb, and sort by low
+            low[tied] = low[tied[np.lexsort((low[tied], high[tied]))]]
+            self._limbs = high, low
         return self._limbs
 
     def prefix(self, n: int):
@@ -227,12 +239,13 @@ class VdcBatch(RationalBatch):
     """van der Corput points phi_b(n), n = first .. first+N-1, over b^k (k digits in the
     last index), built only when read: paircorr.vdc_count counts them from N's digits."""
 
-    def __init__(self, base: int, first: int, n: int):
+    def __init__(self, base: int, first: int, n: int, precision=DEFAULT_PRECISION):
         k, top = 0, first + n - 1
         while top:  # k = the number of base-b digits of the largest index
             k, top = k + 1, top // base
         super().__init__(base, k, None)
         self.first, self.size = first, n
+        self.precision = precision  # the grid f_stat reports its threshold on; it decides no count
 
     def _build(self) -> np.ndarray:
         # reverse the k base-b digits of every index at once, lowest digit first
@@ -267,7 +280,9 @@ class RotationBatch(FixedBatch):
     def _build(self) -> np.ndarray:
         first, n, z = self.first, self.size, self.step
         if self.precision == 64:  # uint64 products wrap mod 2^64
-            return np.arange(first, first + n, dtype=np.uint64) * np.uint64(z)
+            points = np.arange(first, first + n, dtype=np.uint64)
+            points *= np.uint64(z)
+            return points
         return np.arange(first, first + n, dtype=object) * z % self.modulus
 
 
@@ -284,7 +299,7 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if start and spec.kind in ("vdc", "iid"):
         raise ValueError(f"{spec.kind} takes no start index, got {start}")
     if spec.kind == "vdc":
-        return VdcBatch(spec.base, int(not spec.include_zero), N)
+        return VdcBatch(spec.base, int(not spec.include_zero), N, spec.precision)
     if spec.kind == "kronecker":
         return kronecker_orbit(spec.z_spec, N, spec.precision, first=start)
     if spec.kind == "sqrt_frac":

@@ -302,6 +302,28 @@ def test_fstat_vdc_counts_any_base_exactly_from_digits(capsys):
     assert code == 0 and len(out.splitlines()) == 3
 
 
+def test_fstat_vdc_builds_no_points_so_no_cap_applies(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fstat", "--seq", "vdc", "--n", "200000000", "--alpha", "0.5"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and out.splitlines()[1].split(",")[6] == "5656743211008"
+    code, out, err = run_cli(["gen", "--seq", "vdc", "--n", "200000000"], capsys)
+    assert code == 2 and out == "" and "cap" in err
+    # the count is linear in N's digits: 7143 in base 2 at the largest N fstat takes
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fstat", "--seq", "vdc", "--n", str(10 ** 2150)], capsys)
+    assert time.perf_counter() - start < 3 and code == 0 and len(out.splitlines()) == 2
+
+
+def test_fstat_vdc_reports_its_threshold_on_the_precision_grid(capsys):
+    # 10^-37 is 34 ulps of 2^-128, and 0 ulps of 2^-64; the count is exact either way
+    code, out, err = run_cli(["fstat", "--seq", "vdc", "--base", str(2 ** 130), "--n", "100",
+                              "--alpha", "0", "--s", "1e-37", "--precision", "128"], capsys)
+    row = out.splitlines()[1].split(",")
+    assert code == 0 and err == "" and (row[6], row[9]) == ("9900", "0")
+    assert float(row[5]) == 34 / 2 ** 128
+
+
 def test_fstat_vdc_float_alpha_is_fast(capsys):
     # the decimal 0.3333333333333333 is read as 3333333333333333/10^16, so the
     # exact threshold may not cost O(alpha's denominator)
@@ -501,10 +523,11 @@ def test_fstat_kronecker_never_builds_its_orbit(capsys):
 
 def test_fstat_caps_the_points_it_builds_but_not_a_rotation(capsys):
     # a rotation is counted from its step, so no --max-points applies to it
+    # (nor to vdc: test_fstat_vdc_builds_no_points_so_no_cap_applies)
     code, out, _ = run_cli(["fstat", "--seq", "kronecker", "--n", "10,3000000",
                             "--max-points", "2999999"], capsys)
     assert code == 0 and len(out.splitlines()) == 3
-    for seq in ("vdc", "sqrt_frac", "iid"):
+    for seq in ("sqrt_frac", "iid"):
         code, out, err = run_cli(["fstat", "--seq", seq, "--n", "10,3000000",
                                   "--max-points", "2999999"], capsys)
         assert code == 2 and out == "" and "cap" in err

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -287,6 +288,87 @@ def test_limbs_split_join_and_sort(vals, n):
         high, low = b.limbs()
         assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == sorted(head)
         assert list(b.sorted()) == sorted(head)
+
+
+@st.composite
+def tied_limb_values(draw):
+    """128-bit values whose high limbs tie: runs of equal high limbs, one repeated
+    value, low limbs of 0, and any share of tied positions."""
+    if draw(st.booleans()):  # mostly distinct values
+        return draw(st.lists(st.integers(0, (1 << 128) - 1), max_size=60))
+    highs = draw(st.lists(st.integers(0, M64 - 1), min_size=1, max_size=40, unique=True))
+    lows = st.sampled_from([0, 1, 5, M64 - 1]) | st.integers(0, M64 - 1)
+    if draw(st.booleans()):
+        lows = st.just(0)
+    values = st.builds(lambda h, l: h << 64 | l, st.sampled_from(highs), lows)
+    if draw(st.booleans()):  # one value, repeated
+        return [draw(values)] * draw(st.integers(0, 30))
+    return draw(st.lists(values, max_size=60))
+
+
+@given(tied_limb_values())
+def test_limbs_sort_by_the_high_limb_first_in_lexsort_order(vals):
+    high, low = split_limbs(vals)
+    order = np.lexsort((low, high))
+    for batch in (Batch(vals, 1 << 128), FixedBatch.from_limbs(128, np.column_stack([low, high]))):
+        limbs = batch.limbs()
+        assert np.array_equal(limbs[0], high[order]) and np.array_equal(limbs[1], low[order])
+    assert [int(h) << 64 | int(l) for h, l in zip(*batch._split)] == vals  # left as given
+
+
+@pytest.mark.parametrize("share", [0, 0.1, 0.5, 0.9, 1])
+def test_limbs_at_any_share_of_tied_high_limbs(share):
+    rng, n = np.random.default_rng(7), 4000
+    high, low = rng.integers(0, M64, n, dtype=np.uint64), rng.integers(0, M64, n, dtype=np.uint64)
+    pairs = int(share * n) // 2
+    high[1:2 * pairs:2] = high[0:2 * pairs:2]  # the first 2 pairs positions tie in pairs
+    order = np.lexsort((low, high))
+    limbs = FixedBatch.from_limbs(128, np.column_stack([low, high])).limbs()
+    assert np.array_equal(limbs[0], high[order]) and np.array_equal(limbs[1], low[order])
+
+
+def _traced(call):
+    """call()'s result, with the bytes tracemalloc finds held after it and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_a_lazy_rotation_sorts_one_copy_of_its_points():
+    # the fresh build is sorted in place: 8 MB at 10^6 points, where keeping the
+    # unsorted build as well holds 16 MB
+    orbit = kronecker_orbit("golden", 10 ** 6)
+    a, _, peak = _traced(orbit.sorted)
+    assert peak < 10 ** 7 and orbit._raw is None
+    raw = np.arange(1, 10 ** 6 + 1, dtype=np.uint64) * np.uint64(golden_raw(64))
+    assert np.array_equal(orbit.raw, raw) and np.array_equal(a, np.sort(raw))
+
+
+def test_a_vdc_batch_sorts_a_fresh_build():
+    # base 3 over 3^9, a uint64 modulus
+    batch = VdcBatch(3, 0, 10 ** 4)
+    a = batch.sorted()
+    assert batch._raw is None and np.array_equal(a, np.sort(batch.raw))
+    assert [Fraction(int(v), 3 ** 9) for v in batch.raw] == [vdc(n, 3) for n in range(10 ** 4)]
+    # base 2^64 + 1, an object modulus: one digit per index
+    batch = VdcBatch((1 << 64) + 1, 1, 300)
+    a = batch.sorted()
+    assert batch._raw is None and batch.raw.dtype == object
+    assert list(batch.raw) == list(a) == list(range(1, 301))
+
+
+def test_p128_rotation_limbs_keep_only_the_sorted_limbs():
+    n, z = 10 ** 5, golden_raw(128)
+    orbit = kronecker_orbit("golden", n, precision=128)
+    (high, low), held, _ = _traced(orbit.limbs)
+    assert held < 17 * n and orbit._raw is None and orbit._split is None  # the two limbs
+    raw = [i * z % (1 << 128) for i in range(1, n + 1)]
+    assert list(orbit.raw) == raw
+    assert [int(h) << 64 | int(l) for h, l in zip(high, low)] == sorted(raw)
 
 
 def test_generate_prefix_consistency():
