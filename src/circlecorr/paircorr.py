@@ -3,9 +3,10 @@
 All counts are ordered-pair counts (l != m counted in both directions),
 exact integers.  Every fast count goes through one window kernel over a
 batch's sorted values, in blocks of queries (_blocks), except that f_stat
-counts a rotation from its step and a van der Corput batch from N's digits,
-by floor sums with no points.  A total count makes one search per point, for the
-end of its forward window [x, x + t]; per-point counts search both ends.
+counts a rotation from its step and an exact van der Corput batch
+(sequences.RationalBatch) from N's digits, by floor sums with no points.
+A total count makes one search per point, for the end of its forward
+window [x, x + t]; per-point counts search both ends.
 On the 2^128 grid the kernel searches uint64 limbs: the high limb places
 each window end, and the low limb settles it only inside a run of equal
 high limbs.
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 from . import _lazy_module
 from .numutil import (DEFAULT_PRECISION, Threshold, _exact_threshold_numerator, _finite_fraction,
                       threshold_from)
-from .sequences import Batch, VdcBatch, split_limbs
+from .sequences import Batch, RationalBatch, split_limbs
 
 np = _lazy_module("numpy")
 _FULL64 = 1 << 64
@@ -383,14 +384,15 @@ def f_stat(points, s, alpha) -> PairCountResult:
     s and alpha are read once as exact Fractions, the same on every batch: a
     float means its binary value (0.1 is 3602879701896397/2^55), not 1/10.
     Every batch is counted against the exact s/N^alpha: at t = floor(x) for
-    x = s M / N^alpha on its own modulus M (b^k for exact van der Corput
-    batches, 2^P on the grid), since a grid distance is an integer.  With
+    x = s M / N^alpha on its own modulus M (b^k for a RationalBatch, 2^P on
+    the grid), since a grid distance is an integer.  With
     g = ceil(points.error), the batch's bound on a pair distance's error,
     count(t - g) <= true count <= count(t + g), and the ambiguous pairs are
     count(t + g) - count(t - g): none when g = 0, which takes one pass.  A
     rotation batch (every Kronecker batch built by sequences) is counted from
-    its step by rotation_count, a VdcBatch from N's digits by vdc_count, both
-    with no pass over the points, and every other batch by the window kernel.
+    its step by rotation_count, a RationalBatch (every van der Corput batch)
+    from N's digits by vdc_count, both with no pass over the points, and every
+    other batch by the window kernel.
     The reported threshold is s/N^alpha rounded to the 2^-P grid of the batch's
     precision (P = 64 without one); it decides no count.
     """
@@ -405,7 +407,7 @@ def f_stat(points, s, alpha) -> PairCountResult:
         return PairCountResult(n, float(alpha), float(s), thr, n * (n - 1), 0)
     if points.step is not None:
         count = functools.partial(rotation_count, points.step, n, modulus=modulus)
-    elif isinstance(points, VdcBatch):
+    elif isinstance(points, RationalBatch):
         count = functools.partial(vdc_count, points.base, points.first, n, modulus=modulus)
     else:
         count = functools.partial(_ordered_count, _sorted_keys(points), modulus=modulus)

@@ -29,17 +29,17 @@ _LIMB_BLOCK = 1 << 12  # values split or joined at once, which bounds the tempor
 _RANDBYTES_BLOCK = 1 << 27  # bytes per randbytes call (whole 32-bit words, below its 2^28 limit)
 
 
+def _nearest_raw(num, den: int, precision: int):
+    """{num/den} rounded half up to the nearest point of the 2^P grid, as a raw value.
+
+    num is an int, or an object array of ints rounded elementwise.
+    """
+    return (num * (2 << precision) + den) // (2 * den) % (1 << precision)
+
+
 def golden_raw(precision=DEFAULT_PRECISION) -> int:
     """frac(phi) rounded to the nearest P-bit grid point."""
-    shift = _GOLDEN_BITS - precision
-    return (_GOLDEN_FRAC_192 + (1 << (shift - 1))) >> shift
-
-
-def _nearest_raw(frac: Fraction, precision: int) -> int:
-    """{frac} rounded to the nearest point of the 2^P grid, as a raw value."""
-    frac %= 1
-    raw = (frac.numerator * (2 << precision) + frac.denominator) // (2 * frac.denominator)
-    return raw % (1 << precision)
+    return _nearest_raw(_GOLDEN_FRAC_192, 1 << _GOLDEN_BITS, precision)
 
 
 def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
@@ -53,8 +53,6 @@ def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
         return golden_raw(precision)
     if isinstance(z_spec, int):
         return z_spec % (1 << precision)
-    if isinstance(z_spec, Fraction):
-        return _nearest_raw(z_spec, precision)
     if isinstance(z_spec, str):
         # p/q, or an integer with no point or exponent, is exact as typed
         exact = "/" in z_spec or re.fullmatch(r"[+-]?\d+", z_spec)
@@ -64,8 +62,10 @@ def resolve_z(z_spec, precision=DEFAULT_PRECISION) -> int:
             raise ValueError(
                 f"decimal z needs >= {math.ceil((precision + 8) / math.log2(10))} "
                 f"fractional digits for precision {precision}, got {frac_digits}")
-        return _nearest_raw(_decimal_fraction(z_spec), precision)
-    raise TypeError(f"unsupported z spec: {z_spec!r}")
+        z_spec = _decimal_fraction(z_spec)
+    if not isinstance(z_spec, Fraction):
+        raise TypeError(f"unsupported z spec: {z_spec!r}")
+    return _nearest_raw(z_spec.numerator, z_spec.denominator, precision)
 
 
 @dataclass
@@ -206,22 +206,6 @@ class FixedBatch(Batch):
         return batch
 
 
-class RationalBatch(Batch):
-    """Exact points raw[i] / base**exponent."""
-
-    def __init__(self, base: int, exponent: int, raw):
-        self.base, self.exponent = base, exponent
-        super().__init__(raw, base ** exponent)
-
-    def to_fixed(self, precision=DEFAULT_PRECISION) -> FixedBatch:
-        den = self.modulus
-        scale = 1 << precision
-        nums = self.raw.astype(object)  # the scaled numerators exceed 64 bits
-        fixed = FixedBatch(precision, (nums * scale * 2 + den) // (2 * den) % scale)
-        fixed.error = 1  # each point is rounded by up to 1/2 ulp
-        return fixed
-
-
 def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatch:
     """Seeded uniform draws on the 2^P grid; deterministic for a fixed seed."""
     if count < 0:
@@ -235,16 +219,16 @@ def iid_uniform(count: int, seed: int, precision=DEFAULT_PRECISION) -> FixedBatc
     return FixedBatch.from_limbs(precision, data.view("<u8").reshape(count, precision // 64))
 
 
-class VdcBatch(RationalBatch):
-    """van der Corput points phi_b(n), n = first .. first+N-1, over b^k (k digits in the
-    last index), built only when read: paircorr.vdc_count counts them from N's digits."""
+class RationalBatch(Batch):
+    """van der Corput points phi_b(n), n = first .. first+N-1, exact over b^k (k digits in
+    the last index), built only when read: paircorr.vdc_count counts them from N's digits."""
 
     def __init__(self, base: int, first: int, n: int, precision=DEFAULT_PRECISION):
         k, top = 0, first + n - 1
         while top:  # k = the number of base-b digits of the largest index
             k, top = k + 1, top // base
-        super().__init__(base, k, None)
-        self.first, self.size = first, n
+        super().__init__(None, base ** k)
+        self.base, self.exponent, self.first, self.size = base, k, first, n
         self.precision = precision  # the grid f_stat reports its threshold on; it decides no count
 
     def _build(self) -> np.ndarray:
@@ -256,6 +240,12 @@ class VdcBatch(RationalBatch):
             nums = nums * self.base + n % self.base
             n = n // self.base
         return np.asarray(nums, dtype=np.uint64 if self.modulus <= _U64_LIMIT else object)
+
+    def to_fixed(self, precision=DEFAULT_PRECISION) -> FixedBatch:
+        nums = self.raw.astype(object)  # the scaled numerators exceed 64 bits
+        fixed = FixedBatch(precision, _nearest_raw(nums, self.modulus, precision))
+        fixed.error = 1  # each point is rounded by up to 1/2 ulp
+        return fixed
 
 
 class RotationBatch(FixedBatch):
@@ -299,7 +289,7 @@ def generate(spec: SequenceSpec, N: int, start: int = 0) -> Batch:
     if start and spec.kind in ("vdc", "iid"):
         raise ValueError(f"{spec.kind} takes no start index, got {start}")
     if spec.kind == "vdc":
-        return VdcBatch(spec.base, int(not spec.include_zero), N, spec.precision)
+        return RationalBatch(spec.base, int(not spec.include_zero), N, spec.precision)
     if spec.kind == "kronecker":
         return kronecker_orbit(spec.z_spec, N, spec.precision, first=start)
     if spec.kind == "sqrt_frac":

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from circlecorr import numutil
 from circlecorr.numutil import CircleDistance, circle_dist_raw, threshold_from
 from circlecorr.paircorr import f_stat, pair_count_fast
-from circlecorr.sequences import RationalBatch, SequenceSpec, generate, iid_uniform, resolve_z
+from circlecorr.sequences import Batch, SequenceSpec, generate, iid_uniform, resolve_z
 
 M64 = 1 << 64
 
@@ -78,7 +78,7 @@ def test_circle_dist_translation_invariant(a, b, shift):
 def test_rational_distance():
     # points over a common denominator b^k lie circle_dist_raw of their numerators apart
     assert Fraction(circle_dist_raw(1, 9, 10), 10) == Fraction(1, 5)
-    batch = RationalBatch(10, 1, [1, 9])
+    batch = Batch([1, 9], 10)
     assert [pair_count_fast(batch, t) for t in (1, 2)] == [0, 2]
 
 

@@ -68,3 +68,21 @@ def test_nothing_in_src_is_reached_only_by_tests():
     unused = unused_definitions(pathlib.Path(circlecorr.__file__).parent, set(circlecorr.__all__))
     assert time.perf_counter() - start < 1
     assert unused == []
+
+
+def unbuilt_classes(package_dir):
+    """(module, name) of each class in package_dir/*.py that no call in the package builds.
+
+    A build is a call to the class's name, bare or as an attribute; a class
+    kept only as the base of another, or only for isinstance, has none.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))}
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+    return [(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name not in called]
+
+
+def test_every_class_in_src_is_built_in_src():
+    assert unbuilt_classes(pathlib.Path(circlecorr.__file__).parent) == []

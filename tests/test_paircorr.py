@@ -17,8 +17,8 @@ from circlecorr.numutil import circle_dist_raw
 from circlecorr.paircorr import (PairCountResult, f_stat, f_stat_profile,
                                  pair_count_fast, pair_count_naive,
                                  per_point_counts, rotation_count, sorted_raw, vdc_count)
-from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, SequenceSpec, generate,
-                                  iid_uniform, kronecker_orbit)
+from circlecorr.sequences import (Batch, FixedBatch, SequenceSpec, generate, iid_uniform,
+                                  kronecker_orbit)
 
 M64 = 1 << 64
 
@@ -487,12 +487,14 @@ def test_golden_p64_bracket_is_wide_at_n_1e12_and_p128_is_one_point():
 
 
 def test_a_rounded_point_error_makes_a_pair_at_t_plus_1_ambiguous():
-    # alpha = 0 puts t at s 2^64 exactly; one pair lies at distance t + 1
-    t = 3 << 60
+    # 0, 1/3 and 2/3 rounded to the 2^64 grid lie t, t + 1 and t apart, for
+    # t = floor(2^64/3); alpha = 0 puts the threshold at s 2^64 = t exactly
+    t = M64 // 3
     s = Fraction(t, M64)
-    rounded = RationalBatch(2, 64, [0, t + 1]).to_fixed(64)
+    rounded = generate(SequenceSpec("vdc", base=3), 3).to_fixed(64)
     assert rounded.error == 1
-    assert f_stat(rounded, s, 0).ambiguous_pairs == 2
+    res = f_stat(rounded, s, 0)
+    assert (res.ordered_pair_count, res.ambiguous_pairs) == (4, 6)
     assert f_stat(FixedBatch(64, rounded.raw), s, 0).ambiguous_pairs == 0
     # {sqrt n} points are floored, so they carry the same 1-ulp error
     roots = generate(SequenceSpec("sqrt_frac"), 3)

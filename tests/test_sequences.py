@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from circlecorr import sequences
 from circlecorr.sequences import (Batch, FixedBatch, RationalBatch, RotationBatch, SequenceSpec,
-                                  VdcBatch, generate, golden_raw, iid_uniform, join_limbs,
-                                  kronecker_orbit, resolve_z, split_limbs)
+                                  generate, golden_raw, iid_uniform, join_limbs, kronecker_orbit,
+                                  resolve_z, split_limbs)
 
 M64 = 1 << 64
 
@@ -70,6 +70,12 @@ def test_golden_raw_matches_mpmath():
 
 
 @pytest.mark.parametrize("precision", [64, 128])
+def test_golden_raw_rounds_the_192_bit_floor_half_up(precision):
+    golden = sequences._GOLDEN_FRAC_192
+    assert golden_raw(precision) == (golden + (1 << (191 - precision))) >> (192 - precision)
+
+
+@pytest.mark.parametrize("precision", [64, 128])
 def test_each_family_carries_its_point_error(precision):
     # error bounds how far a pair's grid distance lies from the true one, in ulps
     half, spec = Fraction(1, 2), SequenceSpec("vdc", base=3, precision=precision)
@@ -106,6 +112,16 @@ def test_resolve_z_forms_agree():
     assert resolve_z(Fraction(1, 4)) == 1 << 62
     assert resolve_z("1/4") == 1 << 62
     assert resolve_z(5) == 5
+
+
+def test_resolve_z_rounds_a_tie_up_and_wraps_mod_1():
+    # k/2^65 lies k/2 ulps above 0 on the 2^64 grid; a tie goes to the larger raw value
+    assert [resolve_z(Fraction(k, 1 << 65)) for k in (1, 3, 5)] == [1, 2, 3]
+    assert [resolve_z(Fraction(k, 1 << 65)) for k in (-1, -3)] == [0, M64 - 1]
+    assert resolve_z(Fraction(-3, 4)) == resolve_z(Fraction(5, 4)) == 1 << 62
+    zeros = "0" * 20  # 22 decimal digits in all pin down P + 8 = 72 bits
+    assert resolve_z(f"-0.75{zeros}") == resolve_z(f"1.25{zeros}") == 1 << 62
+    assert resolve_z(Fraction(-2, 3), precision=128) == resolve_z(Fraction(1, 3), precision=128)
 
 
 def test_resolve_z_short_decimal_rejected():
@@ -350,12 +366,12 @@ def test_a_lazy_rotation_sorts_one_copy_of_its_points():
 
 def test_a_vdc_batch_sorts_a_fresh_build():
     # base 3 over 3^9, a uint64 modulus
-    batch = VdcBatch(3, 0, 10 ** 4)
+    batch = RationalBatch(3, 0, 10 ** 4)
     a = batch.sorted()
     assert batch._raw is None and np.array_equal(a, np.sort(batch.raw))
     assert [Fraction(int(v), 3 ** 9) for v in batch.raw] == [vdc(n, 3) for n in range(10 ** 4)]
     # base 2^64 + 1, an object modulus: one digit per index
-    batch = VdcBatch((1 << 64) + 1, 1, 300)
+    batch = RationalBatch((1 << 64) + 1, 1, 300)
     a = batch.sorted()
     assert batch._raw is None and batch.raw.dtype == object
     assert list(batch.raw) == list(a) == list(range(1, 301))
@@ -388,7 +404,7 @@ def test_generate_vdc_stays_exact():
     assert odd.modulus == 1 << 11
     for base in (2 ** 130, 10 ** 39 + 1):
         huge = generate(SequenceSpec("vdc", base=base), 10)
-        assert isinstance(huge, VdcBatch) and huge.error == 0 and huge.modulus == base
+        assert isinstance(huge, RationalBatch) and huge.error == 0 and huge.modulus == base
 
 
 @pytest.mark.parametrize("base", [3, 2 ** 32, 2 ** 64])
@@ -397,7 +413,7 @@ def test_a_vdc_prefix_builds_the_digit_reversal_of_its_parent(base, include_zero
     # a prefix keeps the parent's modulus b^K: its points are the radical
     # inverses of its indices over K digits, built only when raw is read
     parent = generate(SequenceSpec("vdc", base=base, include_zero=include_zero), 100)
-    assert isinstance(parent, VdcBatch) and parent._raw is None
+    assert isinstance(parent, RationalBatch) and parent._raw is None
     head = parent.prefix(30)
     assert head._raw is None and head.modulus == parent.modulus
     start = 0 if include_zero else 1
@@ -414,9 +430,18 @@ def test_generate_vdc_skip_zero():
 
 
 def test_rational_to_fixed_rounds():
-    batch = RationalBatch(3, 1, [0, 1, 2])
-    fixed = batch.to_fixed()
+    fixed = generate(SequenceSpec("vdc", base=3), 3).to_fixed()  # 0, 1/3, 2/3
     assert int(fixed.raw[1]) == 6148914691236517205  # nearest to 2^64/3
+    assert fixed.error == 1
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+@pytest.mark.parametrize("base", [3, 10, 2 ** 130])
+def test_to_fixed_rounds_each_numerator_half_up(base, precision):
+    batch = generate(SequenceSpec("vdc", base=base), 50)
+    nums, den, scale = batch.raw.astype(object), batch.modulus, 1 << precision
+    fixed = batch.to_fixed(precision)
+    assert list(fixed.raw) == list((nums * scale * 2 + den) // (2 * den) % scale)
 
 
 def test_spec_validation():
