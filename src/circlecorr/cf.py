@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 _GOLDEN_DPS = 80  # decimal digits for closed forms in the golden mean
 
@@ -22,7 +21,7 @@ class ContinuedFraction:
     """Partial quotients a_0, a_1, ... with their convergent table."""
 
     quotients: list
-    exact: bool = True  # False when expansion of an inexact input was truncated
+    exact: bool = True  # False when max_terms cut the expansion short
     p: list = field(init=False, repr=False)
     q: list = field(init=False, repr=False)
 
@@ -58,47 +57,29 @@ class ContinuedFraction:
         return f"[{self.quotients[0]}; {rest}]"
 
 
-def cf_expand(value, max_terms: int = 64, precision: Optional[int] = None) -> ContinuedFraction:
-    """Expand a positive value into partial quotients.
+def cf_expand(value, max_terms: int | None = None) -> ContinuedFraction:
+    """Expand a positive rational into its partial quotients.
 
-    Exact rationals terminate exactly.  For fixed-point inputs pass the
-    raw integer together with its precision; expansion then stops early
-    once the remaining quotients could no longer be trusted (denominator
-    growth eats the available bits), flagged via ``exact=False``.
+    The expansion is exact and complete unless ``max_terms`` caps it; a cap
+    that cuts it short is flagged via ``exact=False``.  The gap prediction
+    expands a grid step z_raw / 2^P this way.
     """
-    if precision is not None:
-        frac = Fraction(int(value), 1 << precision)
-        q_cap = 1 << ((precision - 8) // 2)
-    else:
-        frac = Fraction(value)
-        q_cap = None
+    frac = Fraction(value)
     if frac <= 0:
         raise ValueError("value must be positive")
     quotients = []
     num, den = frac.numerator, frac.denominator
-    q_prev, q_cur = 0, 1
-    truncated = False
-    while den and len(quotients) < max_terms:
+    while den and (max_terms is None or len(quotients) < max_terms):
         a, rem = divmod(num, den)
-        if quotients:  # a_i >= 1 guaranteed for i >= 1 since 0 < den <= num
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            if q_cap is not None and q_cur > q_cap:
-                truncated = True
-                break
         quotients.append(a)
         num, den = den, rem
-    if den and len(quotients) >= max_terms:
-        truncated = True
-    return ContinuedFraction(quotients, exact=not truncated)
+    return ContinuedFraction(quotients, exact=not den)
 
 
 # --- golden mean -----------------------------------------------------------
 
-GOLDEN_TERMS = 120  # q_120 = F_121 ~ 8.9e24, far past every desk-scale N
 
-
-@lru_cache(maxsize=4)
-def golden_cf(terms: int = GOLDEN_TERMS) -> ContinuedFraction:
+def golden_cf(terms: int) -> ContinuedFraction:
     """phi = [1; 1, 1, ...] truncated to the given number of quotients."""
     return ContinuedFraction([1] * terms)
 

@@ -263,8 +263,7 @@ def cmd_ostrowski(args):
     if args.z == "golden":
         rep = cfmod.golden_ostrowski(args.n)
     else:
-        cf = cfmod.cf_expand(_fraction(args.z), max_terms=128)
-        rep = cfmod.ostrowski(args.n, cf)
+        rep = cfmod.ostrowski(args.n, cfmod.cf_expand(_fraction(args.z)))
     with _open_out(args) as stream:
         if args.format == "csv":
             stream.write("index,digit,weight\n")

@@ -4,7 +4,9 @@ The census is purely empirical (exact raw gap lengths of a sorted batch),
 and the one sorted-gap routine: its smallest length is the batch's minimal
 pair distance, which `verify lemma12` reads.  The prediction side derives
 the admissible gap lengths of {nz}, n = 1..N, from the Ostrowski digits
-of N.  The two paths stay independent so one can verify the other.
+of N over the exact continued fraction of the grid step z_raw / 2^P, the
+rotation the orbit really takes.  The two paths stay independent so one
+can verify the other.
 The lemma 9 check counts from the rotation step and builds no orbit, at the
 exact floor f_stat counts at; the rounded threshold_from is report-only.
 """
@@ -12,7 +14,7 @@ exact floor f_stat counts at; the rounded threshold_from is report-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from fractions import Fraction
 
 from . import _lazy_module, cf as cfmod
 from .numutil import (DEFAULT_PRECISION, _check_precision, _exact_threshold_numerator,
@@ -82,9 +84,9 @@ class GapPrediction:
 
     Derived from the unique decomposition N = m q_k + q_{k-1} + r
     (1 <= m <= a_{k+1}, 0 <= r < q_k) over the best-approximation
-    denominators of z: with K_l = ||q_l z||, the short length is K_k, the
-    middle one K_{k-1} - m K_k (absent when r = 0), and the long one is
-    their sum.
+    denominators of the grid step z_raw / 2^P: with K_l = ||q_l z||, the
+    short length is K_k, the middle one K_{k-1} - m K_k (absent when
+    r = 0), and the long one is their sum.
     """
 
     l1: int  # K_{k-1} - m K_k
@@ -115,22 +117,18 @@ def gap_decomposition(N: int, denominators) -> tuple:
     return k, m, r
 
 
-def predict_gaps(z_spec, N: int, precision: int = DEFAULT_PRECISION,
-                 cf: Optional[cfmod.ContinuedFraction] = None) -> GapPrediction:
+def predict_gaps(z_spec, N: int, precision: int = DEFAULT_PRECISION) -> GapPrediction:
     """Gap lengths L1, L2, L3 = L1 + L2 for the orbit {nz}, n = 1..N.
 
-    K values are computed exactly on the fixed-point grid of z, so they
-    are directly comparable to an empirical census of the same grid
-    points.
+    The ladder is the exact continued fraction of the grid step
+    z_raw / 2^P, the rotation a grid orbit really takes, so for every z
+    each census length of the same grid points is one of L1, L2, L3.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     z_raw = resolve_z(z_spec, precision)
     modulus = 1 << precision
-    if cf is None:
-        cf = cfmod.golden_cf() if z_spec == "golden" else cfmod.cf_expand(z_raw, precision)
-    # q_i does not depend on a_0, so cf may describe z or {z} interchangeably
-    denominators = cf.q
+    denominators = cfmod.cf_expand(Fraction(z_raw, modulus)).q
     k, m, r = gap_decomposition(N, denominators)
     while True:
         q_k = denominators[k]

@@ -55,12 +55,15 @@ def test_str_form():
     assert str(ContinuedFraction([5])) == "[5]"
 
 
-def test_fixed_input_expansion_truncates():
-    from circlecorr.sequences import resolve_z
-    cf = cf_expand(resolve_z("golden"), precision=64)
-    assert not cf.exact
+def test_grid_golden_expansion_is_exact():
+    from circlecorr.sequences import golden_raw
+    step = Fraction(golden_raw(64), 1 << 64)
+    cf = cf_expand(step)
+    assert cf.exact and cf.value() == step
     assert cf.quotients[0] == 0
-    assert all(a == 1 for a in cf.quotients[1:25])
+    assert all(a == 1 for a in cf.quotients[1:50])
+    capped = cf_expand(step, max_terms=10)
+    assert not capped.exact and capped.quotients == cf.quotients[:10]
 
 
 @given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000)))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -367,6 +368,51 @@ def test_ostrowski_text(capsys):
     code, out, _ = run_cli(["ostrowski", "12", "--format", "text"], capsys)
     assert code == 0
     assert "8" in out and "3" in out and "1" in out
+
+
+@pytest.mark.parametrize("precision", ["64", "128"])
+def test_gaps_of_a_rational_z_lands_on_the_prediction(precision, capsys):
+    code, out, err = run_cli(["gaps", "--z", "7/19", "--n", "100", "--precision", precision],
+                             capsys)
+    assert code == 0 and err == ""
+    census = [int(line.split(",")[1]) for line in out.split("\n\n")[0].splitlines()[1:]]
+    predicted = [int(line.split(",")[1]) for line in out.split("\n\n")[1].splitlines()[1:]]
+    assert set(census) <= set(predicted) and predicted[2] == predicted[0] + predicted[1]
+
+
+def test_gaps_past_a_rational_z_ladder_is_usage_error(capsys):
+    # 3 points of the step 1/2 repeat one: its exact ladder 1, 2 ends below N
+    code, out, err = run_cli(["gaps", "--z", "1/2", "--n", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_ostrowski_expands_z_in_full(capsys):
+    # F_199/F_200 has 199 partial quotients, past any fixed cap on terms
+    n = 10 ** 30
+    z = f"{fibonacci(199)}/{fibonacci(200)}"
+    code, out, _ = run_cli(["ostrowski", str(n), "--z", z], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert sum(int(digit) * int(weight) for _, digit, weight in rows) == n
+
+
+def readme_usage_lines():
+    """The `circlecorr ...` lines of README's command-line block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("circlecorr ")]
+
+
+def test_readme_usage_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # `verify all` is left out: test_acceptance already runs every suite
+    lines = [argv for argv in readme_usage_lines() if argv != ["verify", "all"]]
+    assert {argv[0] for argv in lines} == {"gen", "fstat", "gaps", "cf", "ostrowski", "verify"}
+    monkeypatch.chdir(tmp_path)  # later lines read the files earlier ones write
+    for argv in lines:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_verify_suite_exit_codes(capsys):
@@ -844,6 +890,8 @@ OUTPUT_DIGESTS = {
         "3b183bf7ba430d22af97e4a09149a3b816cf7da250ff22840b7fb766ee0276ca"),
     "ostrowski-355-113-text": ("ostrowski 100 --z 355/113 --format text",
         "d8756c0b884952d4f0ad9d46bb36279c80f6ce4cad29ba66c5a070de9bfe5516"),
+    "gaps-7-19-text": ("gaps --z 7/19 --n 100 --format text",
+        "c5cdb991ec4ad7a1c3c2068f534506bacb060d273446e5fedafee0f0a095e003"),
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlecorr.cf import ContinuedFraction, fibonacci
+from circlecorr.cf import ContinuedFraction, cf_expand, fibonacci
 from circlecorr.numutil import _exact_threshold_numerator, circle_dist_raw
 from circlecorr.sequences import (FixedBatch, RotationBatch, SequenceSpec, generate,
                                   golden_raw, kronecker_orbit)
@@ -115,11 +115,29 @@ def test_predict_random_rotations(rng, n):
         if len(quotients) > 2 and cf.q[-1] > 10 * n:
             break
     z = cf.value()
-    pred = predict_gaps(z, n, cf=cf)
+    pred = predict_gaps(z, n)
     census = gap_census(kronecker_orbit(z, n))
     assert len(census.lengths) <= 3
     for length in census.lengths:
-        assert min(abs(length - t) for t in pred.lengths) <= 1
+        assert length in pred.lengths
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_predict_rational_z_matches_census_exactly(precision):
+    pred = predict_gaps(Fraction(7, 19), 100, precision=precision)
+    census = gap_census(kronecker_orbit(Fraction(7, 19), 100, precision=precision))
+    assert set(census.lengths) <= set(pred.lengths)
+    assert pred.l3 == pred.l1 + pred.l2
+
+
+def test_grid_golden_ladder_is_fibonacci_past_the_point_cap():
+    # the ladder of the grid step golden_raw(64) / 2^64 is the true phi's up to
+    # q = 2^33, past every N the 2^27 point cap admits, so no golden gap
+    # prediction differs from one over the Fibonacci ladder
+    q = cf_expand(Fraction(golden_raw(64), M64)).q
+    low = [x for x in q if x <= 1 << 33]
+    assert low == [fibonacci(h) for h in range(1, len(low) + 1)]
+    assert fibonacci(len(low) + 1) > 1 << 33
 
 
 def test_gap_classes_partition():

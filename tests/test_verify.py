@@ -65,8 +65,8 @@ def test_thm6_bracket_holds_at_any_rational_alpha(base, alpha):
 
 
 def test_threegap_fails_a_third_length_off_the_sum_of_the_other_two():
-    # three lengths on the grid obey L3 = L1 + L2 exactly, so a longest length
-    # 1 ulp off fails, though it stays within the 1-ulp slack of the prediction
+    # a longest length 1 ulp off L3 is no predicted length, so every random
+    # orbit with three lengths fails; golden orbits at Fibonacci N have two
     real = verify.gap_census
 
     def longest_plus_one(points):
